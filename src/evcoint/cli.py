@@ -34,7 +34,8 @@ def run(config):
                 raise ConfigError(
                     f"unit-root engine needs exactly one column, got {data.n_series}"
                 )
-            spec = unitroot.UnitRootSpec(
+            spec = _spec(
+                unitroot.UnitRootSpec,
                 p=config.p,
                 include_trend=config.include_trend,
                 include_intercept=config.include_intercept,
@@ -44,7 +45,8 @@ def run(config):
                 n_draws=config.n_draws, burn_in=config.burn_in,
             )
             return unitroot_report(config, result, watch.elapsed)
-        spec = cointegration.VecmSpec(
+        spec = _spec(
+            cointegration.VecmSpec,
             n=data.n_series,
             p=config.p,
             include_constant=config.include_constant,
@@ -62,6 +64,22 @@ def run(config):
         return rank_report(config, result, watch.elapsed)
 
 
+def _spec(cls, **fields):
+    """Build an engine spec; its validation errors are configuration errors."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _env_seed():
+    value = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
+
+
 def _add_common(parser):
     parser.add_argument("input", help="path to the input CSV file")
     parser.add_argument("--columns", nargs="+", default=None,
@@ -73,8 +91,8 @@ def _add_common(parser):
                         help="ignore a leading time-index column")
     parser.add_argument("--n-draws", type=int, default=51_000)
     parser.add_argument("--burn-in", type=int, default=1_000)
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get(SEED_ENV_VAR, "0")))
+    parser.add_argument("--seed", type=int, default=None,
+                        help=f"master seed (default: ${SEED_ENV_VAR}, else 0)")
     parser.add_argument("--stream", type=int, default=0,
                         help="random sub-stream id derived from the seed")
     parser.add_argument("--format", choices=["json", "csv", "markdown"],
@@ -126,7 +144,7 @@ def config_from_args(args):
         p=args.p,
         n_draws=args.n_draws,
         burn_in=args.burn_in,
-        seed=args.seed,
+        seed=_env_seed() if args.seed is None else args.seed,
         stream=args.stream,
         output_format=args.output_format,
     )

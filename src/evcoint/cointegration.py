@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import EigenFailure, NonFiniteInput, SeriesTooShort
+from .errors import EigenFailure, NonFiniteInput, NotPositiveDefinite, SeriesTooShort
 from .fbst import (
     DEFAULT_BURN_IN,
     DEFAULT_N_DRAWS,
@@ -24,7 +24,13 @@ from .fbst import (
     ev_from_pvalue,
     vecm_bridge_spec,
 )
-from .rng import InverseWishartParams, sample_inverse_wishart
+from .rng import (
+    BLOCK_DRAWS,
+    bartlett_factors,
+    gibbs_draws,
+    inverse_wishart_from_factor,
+    sample_inverse_wishart,  # noqa: F401  (perfbench's tracer wraps it under this name)
+)
 
 MIN_EXTRA = 10
 
@@ -208,7 +214,14 @@ class CointChain:
 def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     """Alternate eta | Omega ~ MN(eta_hat, (Z'Z)^-1, Omega) and
     Omega | eta ~ IW(S + (eta - eta_hat)' Z'Z (eta - eta_hat), T),
-    starting from (eta_hat, S/T)."""
+    starting from (eta_hat, S/T).
+
+    The random inputs come a block at a time from ``gibbs_draws``: the
+    k x n normals G of the eta update and the Bartlett factor A of the
+    inverse-Wishart, exactly as ``sample_inverse_wishart`` would draw them.
+    Only the Omega recursion runs per draw; G'G and
+    eta = eta_hat + R^-1 G L_om' are stacked over the block.
+    """
     t, n = design.effective_t, design.spec.n
     eta_hat, _, s = linalg.ols_solve(design.z, design.delta_y)
     k = eta_hat.shape[0]
@@ -217,20 +230,51 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     omega = s / t
     eta_out = np.empty((n_draws, k, n))
     omega_out = np.empty((n_draws, n, n))
-    for i in range(n_draws):
-        l_om = np.linalg.cholesky(omega)
-        g = np.atleast_2d(rng.standard_normal((k, n)))
-        eta = eta_hat + r_inv @ g @ l_om.T
+    shapes = [0.5 * (t - i) for i in range(n)]
+    cholesky = np.linalg.cholesky
+    done = 0
+    for normals, gammas, lower in gibbs_draws(rng, n_draws, k * n, shapes, 2.0):
+        count = normals.shape[0]
+        g = normals.reshape(count, k, n)
         # (eta - eta_hat)' Z'Z (eta - eta_hat) = L_om G'G L_om'.
-        quad = l_om @ (g.T @ g) @ l_om.T
-        omega = sample_inverse_wishart(rng, InverseWishartParams(scale=s + quad, dof=t))
-        eta_out[i] = eta
-        omega_out[i] = omega
+        gtg = np.swapaxes(g, 1, 2) @ g
+        a = bartlett_factors(gammas, lower)
+        l_om = np.empty((count, n, n))
+        scale = np.zeros((count, n, n))
+        out = omega_out[done:done + count]
+        i = 0
+        try:
+            for i in range(count):
+                l_om[i] = lo = cholesky(omega)
+                scale[i] = lam = s + lo @ gtg[i] @ lo.T
+                l = cholesky(0.5 * (lam + lam.T))
+                out[i] = omega = inverse_wishart_from_factor(a[i], l)
+        except np.linalg.LinAlgError:
+            _check_scales(scale[:i + 1])
+            raise NotPositiveDefinite("scale is not positive definite") from None
+        _check_scales(scale)
+        eta_out[done:done + count] = eta_hat + r_inv @ g @ np.swapaxes(l_om, 1, 2)
+        done += count
     return CointChain(eta=eta_out, omega=omega_out, burn_in=burn_in)
 
 
+def _check_scales(scales):
+    """The finite and symmetry checks of ``linalg.as_spd`` on a stack of
+    inverse-Wishart scales; the first failing draw decides the error."""
+    flat = scales.reshape(scales.shape[0], -1)
+    bad_finite = ~np.all(np.isfinite(flat), axis=1)
+    size = np.abs(flat).max(axis=1)
+    asym = np.abs(scales - np.swapaxes(scales, 1, 2)).reshape(flat.shape).max(axis=1)
+    bad_sym = (size > 0) & (asym > linalg.SYM_TOL * size)
+    bad = np.flatnonzero(bad_finite | bad_sym)
+    if bad.size and bad_finite[bad[0]]:
+        raise NonFiniteInput("scale contains NaN or Inf entries")
+    if bad.size:
+        raise NotPositiveDefinite("scale is not symmetric")
+
+
 def chain_log_posterior(chain, design):
-    """Log posterior at every chain draw.
+    """Log posterior at every chain draw, stacked over blocks of draws.
 
     Uses the residual decomposition RSS(eta) = S + (eta - eta_hat)' Z'Z
     (eta - eta_hat), which is algebraically identical to the direct residual
@@ -242,13 +286,15 @@ def chain_log_posterior(chain, design):
     n_draws = chain.eta.shape[0]
     out = np.empty(n_draws)
     half = 0.5 * (t + n + 1)
-    for i in range(n_draws):
-        d = r @ (chain.eta[i] - eta_hat)
-        m = s + d.T @ d
-        chol = np.linalg.cholesky(chain.omega[i])
+    for lo in range(0, n_draws, BLOCK_DRAWS):
+        hi = min(lo + BLOCK_DRAWS, n_draws)
+        d = r @ (chain.eta[lo:hi] - eta_hat)
+        m = s + np.swapaxes(d, 1, 2) @ d
+        chol = np.linalg.cholesky(chain.omega[lo:hi])
         a = np.linalg.solve(chol, m)
-        a = np.linalg.solve(chol, a.T)
-        out[i] = -2.0 * half * float(np.sum(np.log(np.diag(chol)))) - 0.5 * float(np.trace(a))
+        a = np.linalg.solve(chol, np.swapaxes(a, 1, 2))
+        log_diag = np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        out[lo:hi] = -2.0 * half * log_diag - 0.5 * np.trace(a, axis1=1, axis2=2)
     return out
 
 
@@ -280,16 +326,33 @@ class RankTestReport:
     dummy_coding: str
 
 
-def _threshold_for(policy, convention, n, k, rank):
+def parse_threshold_policy(policy):
+    """Split a threshold policy into ``("fixed", ev)`` or ``("bridge", p)``.
+
+    The grammar is ``fixed:<ev>`` or ``bridge:p=<p-value>`` with the number
+    in [0, 1]; anything else raises ``ValueError``.
+    """
     kind, _, value = policy.partition(":")
-    if kind == "fixed":
-        return float(value)
     if kind == "bridge":
         if not value.startswith("p="):
             raise ValueError(f"bridge policy must look like 'bridge:p=0.01', got {policy!r}")
-        p = float(value[2:])
-        return ev_from_pvalue(p, vecm_bridge_spec(n, k, rank, convention))
-    raise ValueError(f"unknown threshold policy {policy!r}")
+        value = value[2:]
+    elif kind != "fixed":
+        raise ValueError(f"unknown threshold policy {policy!r}")
+    try:
+        number = float(value)
+    except ValueError:
+        raise ValueError(f"threshold policy {policy!r} needs a number") from None
+    if not 0.0 <= number <= 1.0:
+        raise ValueError(f"threshold policy {policy!r} needs a number in [0, 1]")
+    return kind, number
+
+
+def _threshold_for(policy, convention, n, k, rank):
+    kind, number = parse_threshold_policy(policy)
+    if kind == "fixed":
+        return number
+    return ev_from_pvalue(number, vecm_bridge_spec(n, k, rank, convention))
 
 
 def test_rank(

@@ -12,6 +12,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
+from .cointegration import parse_threshold_policy
 from .errors import ConfigError
 
 SCHEMA = "evcoint/1"
@@ -52,6 +53,13 @@ class RunConfig:
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if self.dimension_convention not in ("manifold", "paper-literal"):
             raise ConfigError(f"unknown dimension convention {self.dimension_convention!r}")
+        if self.p < 1:
+            raise ConfigError(f"lag order p must be >= 1, got {self.p}")
+        if self.engine == "coint":
+            try:
+                parse_threshold_policy(self.threshold_policy)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         return self
 
 

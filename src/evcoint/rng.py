@@ -2,10 +2,17 @@
 
 The raw source is the PCG64 counter-based generator seeded through
 ``numpy.random.SeedSequence(seed, spawn_key=(stream,))``; only its raw
-64-bit output is consumed, so draw sequences are bit-identical across
-platforms.  Everything else (uniform doubles, Box-Muller normals,
-Marsaglia-Tsang gammas, Bartlett Wisharts) is built here on top of that
-stream and fixed permanently.
+64-bit output is consumed.  Everything else (uniform doubles, Box-Muller
+normals, Marsaglia-Tsang gammas, Bartlett Wisharts) is built here on top of
+that stream and fixed permanently.  Draws are bit-identical for a fixed
+``(seed, stream)`` on a given numpy build and SIMD dispatch: the normals
+use numpy's ``log``/``sqrt``/``cos``/``sin`` kernels and the gamma
+acceptance test uses ``math.log``, and ``tests/test_reproducibility.py``
+pins the streams to golden hashes.
+
+``gibbs_draws`` reads the stream ahead one block of Gibbs draws at a time
+and hands out exactly the values the scalar samplers would, so the chains
+need no per-draw sampler calls.
 
 Each sampler has a matching log-density evaluator used by the Geweke-style
 simulator checks in the test suite.
@@ -24,11 +31,18 @@ _INV_2_53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
 
 
+#: Raws read from PCG64 whenever the stream buffer runs dry.
+_REFILL = 4096
+
+
 class RngState:
     """Deterministic random stream identified by ``(seed, stream)``.
 
     Distinct streams derived from one master seed are statistically
-    independent; concurrent chains must each own their own stream.
+    independent; concurrent chains must each own their own stream.  Raw
+    output is read ahead into a buffer of uniforms that every sampler
+    consumes in order, so scalar, array and block calls can be mixed
+    without changing the sequence.
     """
 
     def __init__(self, seed, stream=0):
@@ -36,25 +50,40 @@ class RngState:
         self.stream = int(stream)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         self._bitgen = np.random.PCG64(ss)
+        self._buf = np.empty(0)
+        self._pos = 0
 
     def substream(self, stream):
         """Fresh RngState on another stream of the same master seed."""
         return RngState(self.seed, stream)
 
+    def _peek(self, count):
+        """The next ``count`` uniforms of the stream, not yet consumed."""
+        if self._buf.size - self._pos < count:
+            raw = self._bitgen.random_raw(max(count - (self._buf.size - self._pos), _REFILL))
+            fresh = ((raw >> np.uint64(11)) + 0.5) * _INV_2_53
+            self._buf = np.concatenate([self._buf[self._pos:], fresh])
+            self._pos = 0
+        return self._buf[self._pos:self._pos + count]
+
+    def _take(self, count):
+        u = self._peek(count)
+        self._pos += count
+        return u
+
     def uniform(self, size=None):
         """Uniform doubles on the open interval (0, 1)."""
-        raw = self._bitgen.random_raw(1 if size is None else size)
-        u = ((np.asarray(raw, dtype=np.uint64) >> np.uint64(11)) + 0.5) * _INV_2_53
-        return float(u[0]) if size is None else u
+        if size is None:
+            return float(self._take(1)[0])
+        return self._take(int(np.prod(size))).reshape(size)
 
     def standard_normal(self, size=None):
         """Standard normals via Box-Muller on the uniform stream."""
         n = 1 if size is None else int(np.prod(size))
         m = (n + 1) // 2
-        u1 = np.atleast_1d(self.uniform(m))
-        u2 = np.atleast_1d(self.uniform(m))
-        r = np.sqrt(-2.0 * np.log(u1))
-        a = _TWO_PI * u2
+        u = self._take(2 * m)
+        r = np.sqrt(-2.0 * np.log(u[:m]))
+        a = _TWO_PI * u[m:]
         z = np.concatenate([r * np.cos(a), r * np.sin(a)])[:n]
         return float(z[0]) if size is None else z.reshape(size)
 
@@ -169,17 +198,36 @@ def log_matrix_normal_pdf(x, params):
     return -0.5 * quad - 0.5 * p * q * math.log(_TWO_PI) - 0.5 * p * log_det_v - 0.5 * q * log_det_u
 
 
-def sample_wishart(rng, scale, dof):
-    """Wishart draw via Bartlett decomposition; ``scale`` is the p x p scale matrix."""
-    _, l = as_spd(scale, "scale")
-    p = l.shape[0]
+def _bartlett_factor(rng, p, dof):
+    """Lower-triangular Bartlett factor A of a p x p Wishart with ``dof``
+    degrees of freedom and identity scale: row i holds
+    sqrt(Gamma((dof - i)/2, 2)) on the diagonal, drawn first, then i
+    standard normals."""
     a = np.zeros((p, p))
     for i in range(p):
         a[i, i] = math.sqrt(rng.gamma(0.5 * (dof - i), 2.0))
         for j in range(i):
             a[i, j] = rng.standard_normal()
-    la = l @ a
+    return a
+
+
+def sample_wishart(rng, scale, dof):
+    """Wishart draw via Bartlett decomposition; ``scale`` is the p x p scale matrix."""
+    _, l = as_spd(scale, "scale")
+    la = l @ _bartlett_factor(rng, l.shape[0], dof)
     return la @ la.T
+
+
+def inverse_wishart_from_factor(a, l):
+    """Inverse-Wishart draw from its Bartlett factor ``a`` and the Cholesky
+    factor ``l`` of the scale Lambda.
+
+    chol(Lambda^-1) = L^-T (up to orientation); W = L^-T A A' L^-1, so
+    X = W^-1 = L A^-T A^-1 L' comes from one solve and one product.
+    """
+    ainv_l = np.linalg.solve(a, l.T)      # A^-1 L'
+    x = ainv_l.T @ ainv_l                 # L A^-T A^-1 L'
+    return 0.5 * (x + x.T)
 
 
 def sample_inverse_wishart(rng, params):
@@ -188,18 +236,106 @@ def sample_inverse_wishart(rng, params):
     Only the Cholesky of Lambda and triangular solves are used; the single
     p x p inversion happens on the Bartlett product.
     """
-    lam, l = as_spd(params.scale, "scale")
-    p = l.shape[0]
-    a = np.zeros((p, p))
-    for i in range(p):
-        a[i, i] = math.sqrt(rng.gamma(0.5 * (params.dof - i), 2.0))
-        for j in range(i):
-            a[i, j] = rng.standard_normal()
-    # chol(Lambda^-1) = L^-T (up to orientation); W = L^-T A A' L^-1.
-    # X = W^-1 = L A^-T A^-1 L' computed by triangular solves.
-    ainv_l = np.linalg.solve(a, l.T)      # A^-1 L'
-    x = ainv_l.T @ ainv_l                 # L A^-T A^-1 L'
-    return 0.5 * (x + x.T)
+    _, l = as_spd(params.scale, "scale")
+    return inverse_wishart_from_factor(_bartlett_factor(rng, l.shape[0], params.dof), l)
+
+
+#: Draws per block of ``gibbs_draws``; bounds the stream read ahead.
+BLOCK_DRAWS = 256
+
+
+def gibbs_draws(rng, n_draws, n_normals, shapes, scale=1.0):
+    """Yield the random inputs of ``n_draws`` Gibbs draws, block by block.
+
+    Each draw takes from the stream exactly what these scalar calls would,
+    in this order: ``rng.standard_normal(n_normals)``, then for each
+    ``i < len(shapes)`` one ``rng.gamma(shapes[i], scale)`` followed by
+    ``i`` calls of ``rng.standard_normal()`` (the Bartlett recipe of
+    ``_bartlett_factor``).  The stream is read ahead one block at a time;
+    the normals are computed with the same numpy kernels as
+    ``standard_normal`` and the gamma acceptance test is the scalar one of
+    ``gamma``, so every value is bit-identical to the scalar path.
+
+    Yields ``(normals, gammas, lower)`` of shapes ``(b, n_normals)``,
+    ``(b, len(shapes))`` and ``(b, p(p-1)/2)`` with ``b <= BLOCK_DRAWS``;
+    ``lower`` lists the normals of row 1, then row 2, and so on.
+    """
+    shapes = [float(a) for a in shapes]
+    if scale <= 0 or any(a <= 0 for a in shapes):
+        raise ValueError("gamma shape and scale must be positive")
+    m = (n_normals + 1) // 2
+    p = len(shapes)
+    # Raws one draw takes when every gamma accepts its first proposal.
+    per_draw = 2 * m + sum(3 + (a < 1.0) for a in shapes) + p * (p - 1)
+    for start in range(0, n_draws, BLOCK_DRAWS):
+        count = min(BLOCK_DRAWS, n_draws - start)
+        need = count * per_draw + 64
+        while True:
+            try:
+                block, used = _walk_block(rng._peek(need), count, n_normals, shapes, scale)
+                break
+            except IndexError:  # rejections ran past the read-ahead
+                need *= 2
+        rng._pos += used
+        yield block
+
+
+def _walk_block(u, count, n_normals, shapes, scale):
+    """One block of ``gibbs_draws`` from the uniforms ``u``; returns the
+    block and the number of uniforms it consumed."""
+    r = np.sqrt(-2.0 * np.log(u))
+    a = _TWO_PI * u
+    cos, sin = np.cos(a), np.sin(a, out=a)
+    r_at, cos_at, uniform = r.item, cos.item, u.item
+    m = (n_normals + 1) // 2
+    p = len(shapes)
+    params = []
+    for shape in shapes:
+        boost = 1.0 / shape if shape < 1.0 else None
+        d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
+        params.append((d, 1.0 / math.sqrt(9.0 * d), boost))
+    log = math.log
+    starts, gammas, lower = [], [], []
+    pos = 0
+    for _ in range(count):
+        starts.append(pos)
+        pos += 2 * m
+        for j, (d, c, boost) in enumerate(params):
+            if boost:
+                b = uniform(pos)
+                pos += 1
+            while True:
+                x = r_at(pos) * cos_at(pos + 1)     # standard_normal()
+                pos += 2
+                v = 1.0 + c * x
+                if v <= 0.0:
+                    continue
+                v = v * v * v
+                w = uniform(pos)
+                pos += 1
+                if log(w) < 0.5 * x * x + d - d * v + d * log(v):
+                    g = d * v * scale
+                    break
+            gammas.append(g * b ** boost if boost else g)
+            lower.extend(range(pos, pos + 2 * j, 2))
+            pos += 2 * j
+    idx = np.array(starts)[:, None] + np.arange(m)
+    rr, half = r[idx], idx + m
+    normals = np.concatenate([rr * cos[half], rr * sin[half]], axis=1)[:, :n_normals]
+    lower = np.array(lower, dtype=np.intp).reshape(count, p * (p - 1) // 2)
+    return (normals, np.array(gammas).reshape(count, p), r[lower] * cos[lower + 1]), pos
+
+
+def bartlett_factors(gammas, lower):
+    """Stacked Bartlett factors from a ``gibbs_draws`` block drawn with the
+    Wishart shapes ``(dof - i)/2`` and scale 2."""
+    count, p = gammas.shape
+    a = np.zeros((count, p, p))
+    i = np.arange(p)
+    a[:, i, i] = np.sqrt(gammas)
+    rows, cols = np.tril_indices(p, -1)
+    a[:, rows, cols] = lower
+    return a
 
 
 def _multivariate_lgamma(a, p):

@@ -19,6 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateRss, NonFiniteInput, SeriesTooShort
 from .fbst import DEFAULT_BURN_IN, DEFAULT_N_DRAWS, EvidenceResult, estimate_evidence
+from .rng import gibbs_draws
 
 #: Smallest usable sample: below p + MIN_EXTRA observations the inverse-gamma
 #: conditional is nearly improper and the test is meaningless.
@@ -164,7 +165,9 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN,
     sigma^2 | psi ~ IG(shape, H) starting from the full OLS point.
 
     Every draw is emitted; the burn-in count is carried on the result so
-    downstream estimation can discard it.
+    downstream estimation can discard it.  The normals and gammas come a
+    block at a time from ``gibbs_draws``; only the scalar sigma recursion
+    runs per draw, and psi is stacked over the block.
     """
     coef, _, rss_mat = linalg.ols_solve(design.x_full, design.delta_y)
     psi_hat = coef.ravel()
@@ -177,14 +180,21 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN,
     sigma = math.sqrt(max(rss_hat, 1e-300) / (t + 1))
     psi_out = np.empty((n_draws, k))
     sigma_out = np.empty(n_draws)
-    for i in range(n_draws):
-        z = np.atleast_1d(rng.standard_normal(k))
-        psi = psi_hat + sigma * (r_inv @ z)
-        # (psi - psi_hat)' X'X (psi - psi_hat) = sigma^2 |z|^2 by construction.
-        h = 0.5 * (rss_hat + sigma * sigma * float(z @ z))
-        sigma = math.sqrt(h / rng.gamma(shape))
-        psi_out[i] = psi
-        sigma_out[i] = sigma
+    done = 0
+    for z, gammas, _ in gibbs_draws(rng, n_draws, k, [shape]):
+        count = z.shape[0]
+        zz = (z[:, None, :] @ z[:, :, None]).ravel()     # |z|^2 per draw
+        start = sigma
+        sigmas = []
+        for q, g in zip(zz.tolist(), gammas[:, 0].tolist()):
+            # (psi - psi_hat)' X'X (psi - psi_hat) = sigma^2 |z|^2 by construction.
+            h = 0.5 * (rss_hat + sigma * sigma * q)
+            sigma = math.sqrt(h / g)
+            sigmas.append(sigma)
+        sigma_out[done:done + count] = sigmas
+        prior = np.concatenate([[start], sigma_out[done:done + count - 1]])
+        psi_out[done:done + count] = psi_hat + prior[:, None] * (r_inv @ z[:, :, None])[:, :, 0]
+        done += count
     return UnitRootChain(psi=psi_out, sigma=sigma_out, burn_in=burn_in)
 
 

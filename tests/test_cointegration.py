@@ -6,7 +6,7 @@ import pytest
 from conftest import cointegrated_pair, random_walks
 from evcoint import cointegration as co
 from evcoint import linalg
-from evcoint.errors import NonFiniteInput, SeriesTooShort
+from evcoint.errors import NonFiniteInput, NotPositiveDefinite, SeriesTooShort
 from evcoint.rng import (
     InverseWishartParams,
     MatrixNormalParams,
@@ -226,6 +226,21 @@ class TestChain:
         b = co.gibbs_chain(tiny_vecm_design, RngState(4, 1), n_draws=300)
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.omega, b.omega)
+
+    def test_non_positive_definite_draw_raises(self, tiny_vecm_design, monkeypatch):
+        monkeypatch.setattr(co, "inverse_wishart_from_factor", lambda a, l: -np.eye(2))
+        with pytest.raises(NotPositiveDefinite):
+            co.gibbs_chain(tiny_vecm_design, RngState(4), n_draws=10)
+
+    def test_scale_checks_report_first_failing_draw(self):
+        ok = np.eye(2)
+        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+        nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        co._check_scales(np.stack([ok, ok]))
+        with pytest.raises(NotPositiveDefinite):
+            co._check_scales(np.stack([ok, asym, nan]))
+        with pytest.raises(NonFiniteInput):
+            co._check_scales(np.stack([ok, nan, asym]))
 
     def test_geweke_marginal_vs_successive(self, tiny_vecm_design):
         """The posterior factorizes exactly: Omega ~ IW(S, T - k) marginally

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ar1_series, cointegrated_pair
-from evcoint import cli, io
+from evcoint import cli, cointegration, io
 from evcoint.errors import (
     ConfigError,
     InputError,
@@ -116,6 +116,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(input_path="x.csv", engine="coint",
                       dimension_convention="other").validate()
+        with pytest.raises(ConfigError):
+            RunConfig(input_path="x.csv", engine="unitroot", p=0).validate()
+        for policy in ("bogus", "bridge:0.01", "bridge:p=2", "fixed:x", "fixed:-0.1"):
+            with pytest.raises(ConfigError):
+                RunConfig(input_path="x.csv", engine="coint",
+                          threshold_policy=policy).validate()
+        RunConfig(input_path="x.csv", engine="coint", threshold_policy="fixed:0.05").validate()
 
     def test_render_formats(self):
         report = {"rows": [{"ev": 0.123456789, "rejected": False}]}
@@ -237,6 +244,26 @@ class TestCliCoint:
         replay = cli.run(RunConfig(**report["config"]))
         assert replay["rows"] == report["rows"]
         assert replay["eigenvalues"] == report["eigenvalues"]
+
+    @pytest.mark.parametrize("args, env_seed", [
+        (["-p", "0"], None),
+        (["--dummies", "5", "--dummy-period", "4"], None),
+        (["--threshold-policy", "bogus"], None),
+        (["--threshold-policy", "bridge:p=2"], None),
+        ([], "abc"),
+    ], ids=["p0", "dummies-ge-period", "policy-bogus", "bridge-p2", "env-seed-abc"])
+    def test_exit_4_on_config_error(self, pair_csv, capsys, monkeypatch, args, env_seed):
+        def no_sampling(*_, **__):
+            raise AssertionError("sampling started before the configuration was checked")
+
+        monkeypatch.setattr(cointegration, "gibbs_chain", no_sampling)
+        argv = ["coint", pair_csv, "--n-draws", "3000", "--burn-in", "300"] + args
+        if env_seed is None:
+            argv += ["--seed", "5"]
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env_seed)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4 and "config error" in err and out == ""
 
     def test_markdown_rendering(self, pair_csv, capsys):
         code, out, _ = run_cli(
