@@ -11,6 +11,7 @@ import sys
 
 from . import cointegration, io, unitroot
 from .errors import ConfigError, InputError, NumericError
+from .fbst import CONVENTIONS, DEFAULT_BURN_IN, DEFAULT_N_DRAWS
 from .report import RunConfig, Stopwatch, rank_report, render, unitroot_report
 from .rng import RngState
 
@@ -89,8 +90,8 @@ def _add_common(parser):
                         help="field delimiter (',', ';' or tab)")
     parser.add_argument("--skip-index-column", action="store_true",
                         help="ignore a leading time-index column")
-    parser.add_argument("--n-draws", type=int, default=51_000)
-    parser.add_argument("--burn-in", type=int, default=1_000)
+    parser.add_argument("--n-draws", type=int, default=DEFAULT_N_DRAWS)
+    parser.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     parser.add_argument("--seed", type=int, default=None,
                         help=f"master seed (default: ${SEED_ENV_VAR}, else 0)")
     parser.add_argument("--stream", type=int, default=0,
@@ -130,7 +131,7 @@ def build_parser():
     co.add_argument("--threshold-policy", default="bridge:p=0.01",
                     help="'fixed:0.05', 'fixed:0.01' or 'bridge:p=0.01'")
     co.add_argument("--dimension-convention", default="paper-literal",
-                    choices=["manifold", "paper-literal"])
+                    choices=CONVENTIONS)
     return parser
 
 
@@ -172,6 +173,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
+        # The report file is written after the run; fail before it if it cannot be.
+        if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+            raise ConfigError(f"directory of --output {args.output!r} does not exist")
         report = run(config)
         text = render(report, config.output_format)
     except InputError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,12 @@ class VecmDesign:
     effective_t: int
     spec: VecmSpec
     column_names: tuple
+
+    @cached_property
+    def fit(self):
+        """OLS of delta_y on the full design z, computed on first use and
+        shared by every stage of a run."""
+        return linalg.ols_solve(self.z, self.delta_y)
 
 
 @dataclass(frozen=True)
@@ -160,14 +167,13 @@ def johansen_concentrate(design):
         u_hat = design.delta_y.copy()
         v_hat = design.y_minus1.copy()
     else:
-        _, u_hat, _ = linalg.ols_solve(design.z1, design.delta_y)
-        _, v_hat, _ = linalg.ols_solve(design.z1, design.y_minus1)
+        u_hat = linalg.ols_solve(design.z1, design.delta_y).resid
+        v_hat = linalg.ols_solve(design.z1, design.y_minus1).resid
     suu = (u_hat.T @ u_hat) / t
     svv = (v_hat.T @ v_hat) / t
     suv = (u_hat.T @ v_hat) / t
-    pi_partial, _, _ = linalg.ols_solve(v_hat, u_hat)          # rows: levels, cols: eqs
-    eta_full, _, _ = linalg.ols_solve(design.z, design.delta_y)
-    pi_full = eta_full[-n:, :]
+    pi_partial = linalg.ols_solve(v_hat, u_hat).coef          # rows: levels, cols: eqs
+    pi_full = design.fit.coef[-n:, :]
     scale = max(np.abs(pi_full).max(), 1.0)
     if np.abs(pi_partial - pi_full).max() > FWL_TOL * scale:
         raise EigenFailure("Frisch-Waugh identity violated; design is ill-conditioned")
@@ -223,9 +229,8 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     eta = eta_hat + R^-1 G L_om' are stacked over the block.
     """
     t, n = design.effective_t, design.spec.n
-    eta_hat, _, s = linalg.ols_solve(design.z, design.delta_y)
+    eta_hat, _, s, r = design.fit
     k = eta_hat.shape[0]
-    r = linalg.qr_r_factor(design.z)
     r_inv = np.linalg.inv(r)          # (Z'Z)^-1 = R^-1 R^-T
     omega = s / t
     eta_out = np.empty((n_draws, k, n))
@@ -281,8 +286,7 @@ def chain_log_posterior(chain, design):
     form of ``log_posterior`` but avoids T-sized products per draw.
     """
     t, n = design.effective_t, design.spec.n
-    eta_hat, _, s = linalg.ols_solve(design.z, design.delta_y)
-    r = linalg.qr_r_factor(design.z)
+    eta_hat, _, s, r = design.fit
     n_draws = chain.eta.shape[0]
     out = np.empty(n_draws)
     half = 0.5 * (t + n + 1)
@@ -381,7 +385,7 @@ def test_rank(
 
     # Runtime self-check: the log posterior at the analytic full-rank MAP
     # must equal the rank-n constrained maximum.
-    eta_hat, _, s = linalg.ols_solve(design.z, design.delta_y)
+    eta_hat, _, s, _ = design.fit
     map_value = log_posterior(CointDraw(eta=eta_hat, omega=s / (t + n + 1)), design)
     if not math.isclose(map_value, stars[n], rel_tol=0.0, abs_tol=1e-6 * max(1.0, abs(stars[n]))):
         raise EigenFailure(

@@ -68,25 +68,6 @@ def estimate_evidence(log_s_star, log_posterior_at_draws, burn_in=0, n_batches=2
     )
 
 
-def merge_counts(results):
-    """Merge evidence estimates from independent chains by summing counts."""
-    results = list(results)
-    if not results:
-        raise EmptyStream("no results to merge")
-    total = sum(r.n_draws for r in results)
-    inside = sum(round(r.ev_bar * r.n_draws) for r in results)
-    ev_bar = inside / total
-    ev = 1.0 - ev_bar
-    return EvidenceResult(
-        ev=ev,
-        ev_bar=ev_bar,
-        log_s_star=results[0].log_s_star,
-        n_draws=total,
-        burn_in=sum(r.burn_in for r in results),
-        mc_se=float(np.sqrt(ev * ev_bar / total)),
-    )
-
-
 @dataclass(frozen=True)
 class BridgeSpec:
     """Dimensions entering the asymptotic e-value/p-value map: full space m,

@@ -6,6 +6,8 @@ arguments are checked through their Cholesky factorization.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import (
@@ -50,12 +52,19 @@ def as_spd(a, name="matrix"):
     return a, chol
 
 
-def ols_solve(design, response):
-    """Least-squares fit of ``response`` on ``design`` via QR.
+class Fit(NamedTuple):
+    """``ols_solve`` output: ``rss = resid' resid``; ``r`` is upper triangular, ``r'r = X'X``."""
 
-    Returns ``(coefficients, residuals, rss_matrix)`` where ``rss_matrix`` is
-    the residual cross-product ``residuals' residuals``.  The normal-equation
-    inverse is never formed.
+    coef: np.ndarray
+    resid: np.ndarray
+    rss: np.ndarray
+    r: np.ndarray
+
+
+def ols_solve(design, response):
+    """Least-squares fit of ``response`` on ``design`` via one QR.
+
+    Returns a ``Fit``.  The normal-equation inverse is never formed.
 
     Raises ``RankDeficient`` when the smallest R diagonal falls below
     ``RANK_TOL`` times the largest one.
@@ -73,8 +82,7 @@ def ols_solve(design, response):
         raise RankDeficient(int(np.argmin(diag)))
     coef = np.linalg.solve(r, q.T @ y)
     resid = y - x @ coef
-    rss = resid.T @ resid
-    return coef, resid, rss
+    return Fit(coef, resid, resid.T @ resid, r)
 
 
 def qr_r_factor(design):

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .cointegration import parse_threshold_policy
 from .errors import ConfigError
+from .fbst import CONVENTIONS, DEFAULT_BURN_IN, DEFAULT_N_DRAWS
 
 SCHEMA = "evcoint/1"
 
@@ -34,8 +35,8 @@ class RunConfig:
     dummy_period: int = 4
     centered_dummies: bool = False
     start_period_index: int = 0
-    n_draws: int = 51_000
-    burn_in: int = 1_000
+    n_draws: int = DEFAULT_N_DRAWS
+    burn_in: int = DEFAULT_BURN_IN
     seed: int = 0
     stream: int = 0
     threshold_policy: str = "bridge:p=0.01"
@@ -51,10 +52,14 @@ class RunConfig:
             raise ConfigError(f"unknown transform {self.transform!r}")
         if self.output_format not in ("json", "csv", "markdown"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
-        if self.dimension_convention not in ("manifold", "paper-literal"):
+        if self.dimension_convention not in CONVENTIONS:
             raise ConfigError(f"unknown dimension convention {self.dimension_convention!r}")
         if self.p < 1:
             raise ConfigError(f"lag order p must be >= 1, got {self.p}")
+        if len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
+        if self.seed < 0 or self.stream < 0:
+            raise ConfigError(f"seed and stream must be >= 0, got {self.seed}, {self.stream}")
         if self.engine == "coint":
             try:
                 parse_threshold_policy(self.threshold_policy)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import DegenerateRss, NonFiniteInput, SeriesTooShort
 from .fbst import DEFAULT_BURN_IN, DEFAULT_N_DRAWS, EvidenceResult, estimate_evidence
-from .rng import gibbs_draws
+from .rng import BLOCK_DRAWS, gibbs_draws
 
 #: Smallest usable sample: below p + MIN_EXTRA observations the inverse-gamma
 #: conditional is nearly improper and the test is meaningless.
@@ -52,6 +53,12 @@ class UnitRootDesign:
     gamma0_index: int         # column of y_{t-1} in x_full
     spec: UnitRootSpec
     column_names: tuple
+
+    @cached_property
+    def fit(self):
+        """OLS of delta_y on the full design, computed on first use and
+        shared by every stage of a run."""
+        return linalg.ols_solve(self.x_full, self.delta_y)
 
 
 @dataclass(frozen=True)
@@ -123,14 +130,14 @@ def restricted_map(design):
     ``log_s_star`` evaluated with the same constant convention as
     ``log_posterior``.
     """
-    coef, _, rss_mat = linalg.ols_solve(design.x_restricted, design.delta_y)
-    rss_r = float(rss_mat[0, 0])
+    fit = linalg.ols_solve(design.x_restricted, design.delta_y)
+    rss_r = float(fit.rss[0, 0])
     scale = float(design.delta_y.ravel() @ design.delta_y.ravel())
     if rss_r < DEGENERATE_RSS_TOL * max(scale, 1.0):
         raise DegenerateRss("restricted regression fits the series perfectly")
     t = design.effective_t
     sigma_r = math.sqrt(rss_r / (t + 1))
-    psi_full = np.insert(coef.ravel(), design.gamma0_index, 0.0)
+    psi_full = np.insert(fit.coef.ravel(), design.gamma0_index, 0.0)
     log_s_star = log_posterior(UnitRootDraw(psi=psi_full, sigma=sigma_r), design)
     return psi_full, sigma_r, log_s_star
 
@@ -142,41 +149,24 @@ class UnitRootChain:
     burn_in: int
 
 
-#: Shape of the sigma^2 | psi inverse-gamma conditional.  "exact" uses T/2,
-#: the value implied by reading the kernel sigma^-(T+1) exp(-RSS/2 sigma^2)
-#: as a density in (psi, sigma); it agrees with small-sample grid quadrature
-#: of that kernel and is the default.  "t-plus-one" uses (T+1)/2, which
-#: effectively shifts the sample size by one and biases small-sample
-#: e-values downward; it is kept selectable for comparison runs.
-SHAPE_CONVENTIONS = ("exact", "t-plus-one")
-
-
-def _ig_shape(t, convention):
-    if convention == "exact":
-        return 0.5 * t
-    if convention == "t-plus-one":
-        return 0.5 * (t + 1)
-    raise ValueError(f"unknown shape convention {convention!r}")
-
-
-def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN,
-                shape_convention="exact"):
+def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     """Alternate psi | sigma ~ N(psi_hat, sigma^2 (X'X)^-1) and
-    sigma^2 | psi ~ IG(shape, H) starting from the full OLS point.
+    sigma^2 | psi ~ IG(T/2, H) starting from the full OLS point.  The shape
+    T/2 reads the kernel sigma^-(T+1) exp(-RSS/2 sigma^2) as a density in
+    (psi, sigma), in agreement with small-sample grid quadrature of it.
 
     Every draw is emitted; the burn-in count is carried on the result so
     downstream estimation can discard it.  The normals and gammas come a
     block at a time from ``gibbs_draws``; only the scalar sigma recursion
     runs per draw, and psi is stacked over the block.
     """
-    coef, _, rss_mat = linalg.ols_solve(design.x_full, design.delta_y)
-    psi_hat = coef.ravel()
-    rss_hat = float(rss_mat[0, 0])
+    fit = design.fit
+    psi_hat = fit.coef.ravel()
+    rss_hat = float(fit.rss[0, 0])
     t = design.effective_t
     k = psi_hat.size
-    r = linalg.qr_r_factor(design.x_full)
-    r_inv = np.linalg.inv(r)          # (X'X)^-1 = R^-1 R^-T
-    shape = _ig_shape(t, shape_convention)
+    r_inv = np.linalg.inv(fit.r)      # (X'X)^-1 = R^-1 R^-T
+    shape = 0.5 * t
     sigma = math.sqrt(max(rss_hat, 1e-300) / (t + 1))
     psi_out = np.empty((n_draws, k))
     sigma_out = np.empty(n_draws)
@@ -199,10 +189,15 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN,
 
 
 def chain_log_posterior(chain, design):
-    """Log posterior at every chain draw, vectorized over draws."""
+    """Log posterior at every chain draw, stacked over blocks of draws so
+    that the T x block residual matrix stays small."""
     t = design.effective_t
-    resid = design.delta_y - design.x_full @ chain.psi.T
-    rss = np.sum(resid * resid, axis=0)
+    n_draws = chain.sigma.size
+    rss = np.empty(n_draws)
+    for lo in range(0, n_draws, BLOCK_DRAWS):
+        hi = min(lo + BLOCK_DRAWS, n_draws)
+        resid = design.delta_y - design.x_full @ chain.psi[lo:hi].T
+        rss[lo:hi] = np.sum(resid * resid, axis=0)
     return -(t + 1) * np.log(chain.sigma) - rss / (2.0 * chain.sigma ** 2)
 
 
@@ -218,34 +213,30 @@ class UnitRootResult:
 
 def adf_statistic(design):
     """Classical t-ratio of the lagged-level coefficient, s^2 = RSS/(T - k)."""
-    coef, _, rss_mat = linalg.ols_solve(design.x_full, design.delta_y)
+    fit = design.fit
     t, k = design.x_full.shape
-    s2 = float(rss_mat[0, 0]) / (t - k)
-    r = linalg.qr_r_factor(design.x_full)
-    r_inv = np.linalg.inv(r)
+    s2 = float(fit.rss[0, 0]) / (t - k)
+    r_inv = np.linalg.inv(fit.r)
     cov = s2 * (r_inv @ r_inv.T)
     g = design.gamma0_index
-    return float(coef.ravel()[g] / math.sqrt(cov[g, g]))
+    return float(fit.coef.ravel()[g] / math.sqrt(cov[g, g]))
 
 
-def test_unit_root(series, spec, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN,
-                   shape_convention="exact"):
+def test_unit_root(series, spec, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     """Full unit-root run: e-value, posterior P(g0 >= 0) and the ADF t-ratio."""
     design = build_design(series, spec)
     _, _, log_s_star = restricted_map(design)
-    chain = gibbs_chain(design, rng, n_draws=n_draws, burn_in=burn_in,
-                        shape_convention=shape_convention)
+    chain = gibbs_chain(design, rng, n_draws=n_draws, burn_in=burn_in)
     lp = chain_log_posterior(chain, design)
     evidence = estimate_evidence(log_s_star, lp, burn_in=burn_in)
     g0 = chain.psi[burn_in:, design.gamma0_index]
     p_nonstationary = float(np.mean(g0 >= 0.0))
-    coef, _, rss_mat = linalg.ols_solve(design.x_full, design.delta_y)
-    sigma_map = math.sqrt(float(rss_mat[0, 0]) / (design.effective_t + 1))
+    sigma_map = math.sqrt(float(design.fit.rss[0, 0]) / (design.effective_t + 1))
     return UnitRootResult(
         evidence=evidence,
         p_nonstationary=p_nonstationary,
         adf_stat=adf_statistic(design),
-        psi_hat=coef.ravel(),
+        psi_hat=design.fit.coef.ravel(),
         sigma_map=sigma_map,
         design=design,
     )

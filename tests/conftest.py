@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evcoint import cointegration as co
+from evcoint import linalg
 from evcoint import unitroot as ur
 
 
@@ -39,13 +40,25 @@ def tiny_vecm_design():
     return co.build_vecm_design(random_walks(), spec)
 
 
+@pytest.fixture
+def ols_design_widths(monkeypatch):
+    """Column count of every design passed to ``linalg.ols_solve``, in call order."""
+    widths = []
+    solve = linalg.ols_solve
+
+    def counting(design, response):
+        widths.append(np.shape(design)[1])
+        return solve(design, response)
+
+    monkeypatch.setattr(linalg, "ols_solve", counting)
+    return widths
+
+
 def grid_posterior_unitroot(design, log_s_star, n_psi=340, n_sigma=380):
     """Dense grid quadrature of the unit-root posterior kernel for a 2-column
     design (intercept and lagged level): returns (ev, P(g0 >= 0))."""
-    from evcoint import linalg
-
     assert design.x_full.shape[1] == 2
-    coef, _, rss = linalg.ols_solve(design.x_full, design.delta_y)
+    coef, _, rss, _ = linalg.ols_solve(design.x_full, design.delta_y)
     psi_hat = coef.ravel()
     rss_hat = float(rss[0, 0])
     t = design.effective_t

@@ -298,7 +298,7 @@ def test_criterion_7_property_suite():
     # Geweke pair-check, unit-root conditionals: the Gibbs chain moments
     # match an i.i.d. draw from the exact factorized posterior.
     design = ur.build_design(ar1_series(seed=7, n=13), ur.UnitRootSpec(p=1))
-    coef, _, rss_mat = linalg.ols_solve(design.x_full, design.delta_y)
+    coef, _, rss_mat, _ = linalg.ols_solve(design.x_full, design.delta_y)
     psi_hat, rss_hat = coef.ravel(), float(rss_mat[0, 0])
     t, k = design.x_full.shape
     r_inv = np.linalg.inv(linalg.qr_r_factor(design.x_full))
@@ -320,7 +320,7 @@ def test_criterion_7_property_suite():
     from conftest import random_walks
 
     dd = co.build_vecm_design(random_walks(), co.VecmSpec(n=2, p=1, include_constant=False))
-    eta_hat, _, s = linalg.ols_solve(dd.z, dd.delta_y)
+    eta_hat, _, s, _ = linalg.ols_solve(dd.z, dd.delta_y)
     kk = eta_hat.shape[0]
     zz_inv = np.linalg.inv(dd.z.T @ dd.z)
     n = 30_000

@@ -151,7 +151,7 @@ class TestLogSStar:
         d = tiny_vecm_design
         t, n = d.effective_t, 2
         conc = co.johansen_concentrate(d)
-        eta_hat, _, s = linalg.ols_solve(d.z, d.delta_y)
+        eta_hat, _, s, _ = linalg.ols_solve(d.z, d.delta_y)
         map_value = co.log_posterior(
             co.CointDraw(eta=eta_hat, omega=s / (t + n + 1)), d
         )
@@ -197,7 +197,7 @@ class TestLogSStar:
         # at the analytic maximizer.
         d = tiny_vecm_design
         t, n = d.effective_t, 2
-        eta_hat, _, s = linalg.ols_solve(d.z, d.delta_y)
+        eta_hat, _, s, _ = linalg.ols_solve(d.z, d.delta_y)
         omega0 = s / (t + n + 1)
         base = co.log_posterior(co.CointDraw(eta=eta_hat, omega=omega0), d)
         eps = 1e-6
@@ -249,7 +249,7 @@ class TestChain:
         first two moments of every coordinate."""
         d = tiny_vecm_design
         t, n = d.effective_t, 2
-        eta_hat, _, s = linalg.ols_solve(d.z, d.delta_y)
+        eta_hat, _, s, _ = linalg.ols_solve(d.z, d.delta_y)
         k = eta_hat.shape[0]
         zz_inv = np.linalg.inv(d.z.T @ d.z)
 
@@ -353,6 +353,14 @@ class TestRankTest:
         for ha, hb in zip(a.hypotheses, b.hypotheses):
             assert ha.evidence.ev == hb.evidence.ev
             assert ha.log_s_star == hb.log_s_star
+
+    def test_one_full_design_fit_per_run(self, ols_design_widths):
+        # Two short-run partialling fits, the Frisch-Waugh fit of the
+        # partialled pair and one full-design fit shared by the identity
+        # check, the MAP self-check, the sampler and the log posterior.
+        co.test_rank(cointegrated_pair(seed=5, n=200), co.VecmSpec(n=2, p=2), RngState(10),
+                     n_draws=2000, burn_in=200)
+        assert ols_design_widths == [3, 3, 2, 5]
 
     def test_report_metadata(self):
         report = co.test_rank(

@@ -11,7 +11,6 @@ from evcoint.fbst import (
     estimate_evidence,
     ev_from_pvalue,
     evbar_from_pvalue,
-    merge_counts,
     pvalue_from_ev,
     pvalue_from_evbar,
     vecm_bridge_spec,
@@ -100,25 +99,6 @@ class TestEstimateEvidence:
             scale * s + shift, [scale * v + shift for v in lp]
         )
         assert mapped.ev == res.ev
-
-
-class TestMergeCounts:
-    def test_pooling(self):
-        a = estimate_evidence(2.5, [1.0, 2.0, 3.0, 4.0])
-        b = estimate_evidence(2.5, [0.0, 0.0, 0.0, 4.0])
-        merged = merge_counts([a, b])
-        assert merged.n_draws == 8
-        assert merged.ev_bar == pytest.approx(3.0 / 8.0)
-
-    def test_single_is_identity(self):
-        a = estimate_evidence(2.5, [1.0, 2.0, 3.0, 4.0])
-        m = merge_counts([a])
-        assert m.ev == a.ev
-        assert m.n_draws == a.n_draws
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyStream):
-            merge_counts([])
 
 
 class TestBridge:

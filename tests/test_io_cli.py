@@ -123,6 +123,13 @@ class TestRunConfig:
                 RunConfig(input_path="x.csv", engine="coint",
                           threshold_policy=policy).validate()
         RunConfig(input_path="x.csv", engine="coint", threshold_policy="fixed:0.05").validate()
+        for delimiter in ("", ";;", "ab"):
+            with pytest.raises(ConfigError):
+                RunConfig(input_path="x.csv", engine="coint", delimiter=delimiter).validate()
+        RunConfig(input_path="x.csv", engine="coint", delimiter="\t").validate()
+        for fields in ({"seed": -1}, {"stream": -1}):
+            with pytest.raises(ConfigError):
+                RunConfig(input_path="x.csv", engine="unitroot", **fields).validate()
 
     def test_render_formats(self):
         report = {"rows": [{"ev": 0.123456789, "rejected": False}]}
@@ -251,19 +258,30 @@ class TestCliCoint:
         (["--threshold-policy", "bogus"], None),
         (["--threshold-policy", "bridge:p=2"], None),
         ([], "abc"),
-    ], ids=["p0", "dummies-ge-period", "policy-bogus", "bridge-p2", "env-seed-abc"])
-    def test_exit_4_on_config_error(self, pair_csv, capsys, monkeypatch, args, env_seed):
+        (["--delimiter", ""], None),
+        (["--delimiter", ";;"], None),
+        (["--seed", "-1"], None),
+        (["--stream", "-1"], None),
+        ([], "-5"),
+        (["--output", "{tmp}/missing/report.json"], None),
+    ], ids=["p0", "dummies-ge-period", "policy-bogus", "bridge-p2", "env-seed-abc",
+            "delimiter-empty", "delimiter-two-chars", "seed-negative", "stream-negative",
+            "env-seed-negative", "output-dir-missing"])
+    def test_exit_4_on_config_error(self, pair_csv, tmp_path, capsys, monkeypatch, args,
+                                    env_seed):
         def no_sampling(*_, **__):
             raise AssertionError("sampling started before the configuration was checked")
 
         monkeypatch.setattr(cointegration, "gibbs_chain", no_sampling)
-        argv = ["coint", pair_csv, "--n-draws", "3000", "--burn-in", "300"] + args
+        argv = ["coint", pair_csv, "--n-draws", "3000", "--burn-in", "300"]
         if env_seed is None:
             argv += ["--seed", "5"]
         else:
             monkeypatch.setenv(cli.SEED_ENV_VAR, env_seed)
+        argv += [a.format(tmp=tmp_path) for a in args]
         code, out, err = run_cli(argv, capsys)
         assert code == 4 and "config error" in err and out == ""
+        assert not (tmp_path / "missing").exists()
 
     def test_markdown_rendering(self, pair_csv, capsys):
         code, out, _ = run_cli(

@@ -15,14 +15,14 @@ from evcoint.errors import (
 
 class TestOlsSolve:
     def test_mean_of_two_points(self):
-        coef, resid, rss = linalg.ols_solve([[1.0], [1.0]], [[3.0], [5.0]])
+        coef, resid, rss, _ = linalg.ols_solve([[1.0], [1.0]], [[3.0], [5.0]])
         assert coef[0, 0] == pytest.approx(4.0)
         np.testing.assert_allclose(resid.ravel(), [-1.0, 1.0])
         assert rss[0, 0] == pytest.approx(2.0)
 
     def test_identity_design(self):
         v = np.array([[1.5], [-2.0], [0.25]])
-        coef, resid, _ = linalg.ols_solve(np.eye(3), v)
+        coef, resid, _, _ = linalg.ols_solve(np.eye(3), v)
         np.testing.assert_allclose(coef, v)
         np.testing.assert_allclose(resid, 0.0, atol=1e-14)
 
@@ -30,16 +30,22 @@ class TestOlsSolve:
         g = np.random.default_rng(0)
         x = g.normal(size=(50, 3))
         beta = np.array([[1.0], [2.0], [-0.5]])
-        coef, _, _ = linalg.ols_solve(x, x @ beta)
+        coef, _, _, _ = linalg.ols_solve(x, x @ beta)
         np.testing.assert_allclose(coef, beta, atol=1e-10)
 
     def test_residuals_orthogonal_to_design(self):
         g = np.random.default_rng(1)
         x = g.normal(size=(40, 4))
         y = g.normal(size=(40, 2))
-        _, resid, _ = linalg.ols_solve(x, y)
+        _, resid, _, _ = linalg.ols_solve(x, y)
         scale = np.abs(x).max() * np.abs(y).max()
         assert np.abs(x.T @ resid).max() < 1e-8 * scale
+
+    def test_r_factor_of_the_design(self):
+        x = np.random.default_rng(2).normal(size=(30, 3))
+        fit = linalg.ols_solve(x, x @ np.ones((3, 1)))
+        assert np.array_equal(fit.r, np.triu(fit.r))
+        np.testing.assert_allclose(fit.r.T @ fit.r, x.T @ x, rtol=1e-12)
 
     def test_rank_deficient_raises(self):
         x = np.column_stack([np.ones(10), np.ones(10)])

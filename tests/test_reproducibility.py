@@ -71,10 +71,9 @@ def _unitroot_design():
     return ur.build_design(ar1_series(seed=5, n=90), ur.UnitRootSpec(p=3, include_trend=True))
 
 
-def _unitroot_chain(shape_convention="exact"):
+def _unitroot_chain():
     design = _unitroot_design()
-    chain = ur.gibbs_chain(design, RngState(SEED, STREAM), n_draws=5000, burn_in=100,
-                           shape_convention=shape_convention)
+    chain = ur.gibbs_chain(design, RngState(SEED, STREAM), n_draws=5000, burn_in=100)
     return digest(chain.psi, chain.sigma, ur.chain_log_posterior(chain, design))
 
 
@@ -104,7 +103,6 @@ CASES = {
     "gamma": _gamma,
     "inverse_wishart": _inverse_wishart,
     "unitroot_chain": _unitroot_chain,
-    "unitroot_chain_t_plus_one": lambda: _unitroot_chain("t-plus-one"),
     "vecm_chain_n2": lambda: _vecm_chain(2, 1, 0, 2500),
     "vecm_chain_n3_odd_block": lambda: _vecm_chain(3, 2, 0, 3000),
     "vecm_chain_n4_dummies": lambda: _vecm_chain(4, 2, 3, 3000),
@@ -118,7 +116,6 @@ GOLDEN = {
     "gamma": "fbd37c1cc56dc7f660a39c5e39da3ea2da36be7c4879a7b871385da668a27736",
     "inverse_wishart": "ef7e02fe04a36c9aabf300a8bb467f54954638e138ce1c5bb4aecd12a81b1435",
     "unitroot_chain": "e248936bba6a0baa140363205fa7e8eb77ff7962eb660346235bbe66617e45b4",
-    "unitroot_chain_t_plus_one": "0b89e1269fd679c2f678726bebf435c7c2be1e7c67c62b5fb9c0cae4cd814778",
     "vecm_chain_n2": "a26e4308a74f8e3b35ed66e2ec673edd94cac81752d2d7afa06d92eda9164172",
     "vecm_chain_n3_odd_block": "5315e8e81dd2f495e3737b0da8d80cc0fc427180560bd3b5b714fcf9b2c106ea",
     "vecm_chain_n4_dummies": "b80791119d8869d5f1971b151022fb02c885d6ecfde47709466f53d4a50708ab",

@@ -94,12 +94,6 @@ class TestPosteriorAndMap:
             )
             assert lp[i] == pytest.approx(direct, abs=1e-10)
 
-    def test_ig_shape_conventions(self):
-        assert ur._ig_shape(12, "exact") == 6.0
-        assert ur._ig_shape(12, "t-plus-one") == 6.5
-        with pytest.raises(ValueError):
-            ur._ig_shape(12, "other")
-
 
 class TestGibbs:
     def test_determinism(self, small_unitroot_design):
@@ -119,7 +113,7 @@ class TestGibbs:
         the OLS point.  Drawing directly from that factorization gives an
         i.i.d. sample whose first two moments must match the Gibbs output."""
         design = small_unitroot_design
-        coef, _, rss_mat = linalg.ols_solve(design.x_full, design.delta_y)
+        coef, _, rss_mat, _ = linalg.ols_solve(design.x_full, design.delta_y)
         psi_hat = coef.ravel()
         rss_hat = float(rss_mat[0, 0])
         t = design.effective_t
@@ -155,13 +149,6 @@ class TestGibbs:
         assert abs(res.ev - grid_ev) < 0.03
         g0 = chain.psi[1_000:, design.gamma0_index]
         assert abs(float(np.mean(g0 >= 0)) - grid_p) < 0.01
-
-    def test_t_plus_one_shifts_sigma_down(self, small_unitroot_design):
-        a = ur.gibbs_chain(small_unitroot_design, RngState(5), n_draws=20_000,
-                           shape_convention="exact")
-        b = ur.gibbs_chain(small_unitroot_design, RngState(5), n_draws=20_000,
-                           shape_convention="t-plus-one")
-        assert b.sigma[1000:].mean() < a.sigma[1000:].mean()
 
 
 class TestAdfStatistic:
@@ -199,6 +186,13 @@ class TestEndToEnd:
         assert res.evidence.n_draws == 4500
         assert res.psi_hat.size == res.design.x_full.shape[1]
         assert res.sigma_map > 0
+
+    def test_one_full_design_fit_per_run(self, ols_design_widths):
+        # The restricted regression plus the full-design fit that the
+        # sampler, the ADF statistic and the MAP point all share.
+        ur.test_unit_root(ar1_series(seed=31, n=50), ur.UnitRootSpec(p=2, include_trend=True),
+                          RngState(3), n_draws=2000, burn_in=200)
+        assert ols_design_widths == [3, 4]
 
     def test_deterministic_replay(self):
         y = ar1_series(seed=32, n=40)
