@@ -26,7 +26,6 @@ from .fbst import (
     vecm_bridge_spec,
 )
 from .rng import (
-    BLOCK_DRAWS,
     bartlett_factors,
     gibbs_draws,
     inverse_wishart_from_factor,
@@ -212,8 +211,9 @@ def log_posterior(draw, design):
 
 @dataclass(frozen=True)
 class CointChain:
-    eta: np.ndarray    # n_draws x k x n
-    omega: np.ndarray  # n_draws x n x n
+    eta: np.ndarray            # n_draws x k x n
+    omega: np.ndarray          # n_draws x n x n
+    log_posterior: np.ndarray  # n_draws, the kernel of ``log_posterior`` at each draw
     burn_in: int
 
 
@@ -227,6 +227,11 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     inverse-Wishart, exactly as ``sample_inverse_wishart`` would draw them.
     Only the Omega recursion runs per draw; G'G and
     eta = eta_hat + R^-1 G L_om' are stacked over the block.
+
+    The log posterior of each draw is read off its variates: the scale
+    M = RSS(eta) has Cholesky factor L and Omega = L A^-T A^-1 L', so
+    ln|Omega| = 2 sum ln l_jj - sum ln gamma_j and tr(Omega^-1 M) = tr(A A')
+    = sum gamma_j + sum lower^2.
     """
     t, n = design.effective_t, design.spec.n
     eta_hat, _, s, r = design.fit
@@ -235,6 +240,8 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     omega = s / t
     eta_out = np.empty((n_draws, k, n))
     omega_out = np.empty((n_draws, n, n))
+    lp_out = np.empty(n_draws)
+    half = 0.5 * (t + n + 1)
     shapes = [0.5 * (t - i) for i in range(n)]
     cholesky = np.linalg.cholesky
     done = 0
@@ -245,6 +252,7 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
         gtg = np.swapaxes(g, 1, 2) @ g
         a = bartlett_factors(gammas, lower)
         l_om = np.empty((count, n, n))
+        l_iw = np.empty((count, n, n))
         scale = np.zeros((count, n, n))
         out = omega_out[done:done + count]
         i = 0
@@ -252,15 +260,18 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
             for i in range(count):
                 l_om[i] = lo = cholesky(omega)
                 scale[i] = lam = s + lo @ gtg[i] @ lo.T
-                l = cholesky(0.5 * (lam + lam.T))
+                l_iw[i] = l = cholesky(0.5 * (lam + lam.T))
                 out[i] = omega = inverse_wishart_from_factor(a[i], l)
         except np.linalg.LinAlgError:
             _check_scales(scale[:i + 1])
             raise NotPositiveDefinite("scale is not positive definite") from None
         _check_scales(scale)
         eta_out[done:done + count] = eta_hat + r_inv @ g @ np.swapaxes(l_om, 1, 2)
+        log_l = np.log(np.diagonal(l_iw, axis1=1, axis2=2)).sum(axis=1)
+        trace = gammas.sum(axis=1) + (lower * lower).sum(axis=1)
+        lp_out[done:done + count] = half * (np.log(gammas).sum(axis=1) - 2.0 * log_l) - 0.5 * trace
         done += count
-    return CointChain(eta=eta_out, omega=omega_out, burn_in=burn_in)
+    return CointChain(eta=eta_out, omega=omega_out, log_posterior=lp_out, burn_in=burn_in)
 
 
 def _check_scales(scales):
@@ -279,27 +290,8 @@ def _check_scales(scales):
 
 
 def chain_log_posterior(chain, design):
-    """Log posterior at every chain draw, stacked over blocks of draws.
-
-    Uses the residual decomposition RSS(eta) = S + (eta - eta_hat)' Z'Z
-    (eta - eta_hat), which is algebraically identical to the direct residual
-    form of ``log_posterior`` but avoids T-sized products per draw.
-    """
-    t, n = design.effective_t, design.spec.n
-    eta_hat, _, s, r = design.fit
-    n_draws = chain.eta.shape[0]
-    out = np.empty(n_draws)
-    half = 0.5 * (t + n + 1)
-    for lo in range(0, n_draws, BLOCK_DRAWS):
-        hi = min(lo + BLOCK_DRAWS, n_draws)
-        d = r @ (chain.eta[lo:hi] - eta_hat)
-        m = s + np.swapaxes(d, 1, 2) @ d
-        chol = np.linalg.cholesky(chain.omega[lo:hi])
-        a = np.linalg.solve(chol, m)
-        a = np.linalg.solve(chol, np.swapaxes(a, 1, 2))
-        log_diag = np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-        out[lo:hi] = -2.0 * half * log_diag - 0.5 * np.trace(a, axis1=1, axis2=2)
-    return out
+    """Log posterior at every chain draw, as ``gibbs_chain`` recorded it."""
+    return chain.log_posterior
 
 
 def max_eig_statistic(eigenvalues, t, rank):
@@ -334,7 +326,8 @@ def parse_threshold_policy(policy):
     """Split a threshold policy into ``("fixed", ev)`` or ``("bridge", p)``.
 
     The grammar is ``fixed:<ev>`` or ``bridge:p=<p-value>`` with the number
-    in [0, 1]; anything else raises ``ValueError``.
+    in [0, 1]; anything else raises ``ValueError``, as does a bridge p-value
+    so small that ``1 - p`` rounds to 1, whose chi-square quantile is infinite.
     """
     kind, _, value = policy.partition(":")
     if kind == "bridge":
@@ -349,6 +342,8 @@ def parse_threshold_policy(policy):
         raise ValueError(f"threshold policy {policy!r} needs a number") from None
     if not 0.0 <= number <= 1.0:
         raise ValueError(f"threshold policy {policy!r} needs a number in [0, 1]")
+    if kind == "bridge" and number > 0.0 and 1.0 - number == 1.0:
+        raise ValueError(f"threshold policy {policy!r} has a p-value too small to invert")
     return kind, number
 
 
@@ -392,15 +387,16 @@ def test_rank(
             f"full-rank maximum inconsistency: MAP {map_value:.9g} vs l*_n {stars[n]:.9g}"
         )
 
+    thresholds = [_threshold_for(threshold_policy, dimension_convention, n, k, r)
+                  for r in range(n)] + [None]
     chain = gibbs_chain(design, rng, n_draws=n_draws, burn_in=burn_in)
     lp = chain_log_posterior(chain, design)
     clip = CLIP_TOL * max(1.0, abs(stars[n]))
     hypotheses = []
     selected = n
     rejecting = True
-    for r in range(n + 1):
+    for r, threshold in enumerate(thresholds):
         ev = estimate_evidence(stars[r] + clip, lp, burn_in=burn_in)
-        threshold = _threshold_for(threshold_policy, dimension_convention, n, k, r) if r < n else None
         rejected = rejecting and threshold is not None and ev.ev < threshold
         if rejecting and not rejected:
             selected = r

@@ -84,14 +84,7 @@ class BridgeSpec:
 def ev_from_pvalue(p, spec):
     """Asymptotic e-value matching a likelihood-ratio p-value:
     ev = 1 - F_m(F_{m-h}^{-1}(1 - p))."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p-value must lie in [0, 1]")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    x = chi2_quantile(1.0 - p, spec.m - spec.h)
-    return 1.0 - chi2_cdf(x, spec.m)
+    return 1.0 - evbar_from_pvalue(p, spec)
 
 
 def evbar_from_pvalue(p, spec):
@@ -128,12 +121,7 @@ def pvalue_from_ev(ev, spec):
     """Inverse of ``ev_from_pvalue``: ev -> x = F_m^{-1}(1 - ev) -> p = 1 - F_{m-h}(x)."""
     if not 0.0 <= ev <= 1.0:
         raise ValueError("e-value must lie in [0, 1]")
-    if ev == 0.0:
-        return 0.0
-    if ev == 1.0:
-        return 1.0
-    x = chi2_quantile(1.0 - ev, spec.m)
-    return 1.0 - chi2_cdf(x, spec.m - spec.h)
+    return pvalue_from_evbar(1.0 - ev, spec)
 
 
 #: Dimension-counting presets for vector error-correction rank hypotheses.

@@ -21,10 +21,6 @@ class TimeSeriesMatrix:
     column_names: tuple
 
     @property
-    def n_observations(self):
-        return self.values.shape[0]
-
-    @property
     def n_series(self):
         return self.values.shape[1]
 

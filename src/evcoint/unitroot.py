@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateRss, NonFiniteInput, SeriesTooShort
 from .fbst import DEFAULT_BURN_IN, DEFAULT_N_DRAWS, EvidenceResult, estimate_evidence
-from .rng import BLOCK_DRAWS, gibbs_draws
+from .rng import gibbs_draws
 
 #: Smallest usable sample: below p + MIN_EXTRA observations the inverse-gamma
 #: conditional is nearly improper and the test is meaningless.
@@ -144,8 +144,9 @@ def restricted_map(design):
 
 @dataclass(frozen=True)
 class UnitRootChain:
-    psi: np.ndarray    # n_draws x k, burn-in included
-    sigma: np.ndarray  # n_draws
+    psi: np.ndarray            # n_draws x k, burn-in included
+    sigma: np.ndarray          # n_draws
+    log_posterior: np.ndarray  # n_draws, the kernel of ``log_posterior`` at each draw
     burn_in: int
 
 
@@ -159,6 +160,10 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     downstream estimation can discard it.  The normals and gammas come a
     block at a time from ``gibbs_draws``; only the scalar sigma recursion
     runs per draw, and psi is stacked over the block.
+
+    The log posterior of each draw is read off its variates: psi_i - psi_hat
+    = sigma_{i-1} R^-1 z_i gives RSS(psi_i) = rss_hat + sigma_{i-1}^2 |z_i|^2
+    = 2 h_i, and sigma_i^2 = h_i / g_i, so RSS(psi_i) / (2 sigma_i^2) = g_i.
     """
     fit = design.fit
     psi_hat = fit.coef.ravel()
@@ -170,6 +175,7 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     sigma = math.sqrt(max(rss_hat, 1e-300) / (t + 1))
     psi_out = np.empty((n_draws, k))
     sigma_out = np.empty(n_draws)
+    lp_out = np.empty(n_draws)
     done = 0
     for z, gammas, _ in gibbs_draws(rng, n_draws, k, [shape]):
         count = z.shape[0]
@@ -184,21 +190,14 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
         sigma_out[done:done + count] = sigmas
         prior = np.concatenate([[start], sigma_out[done:done + count - 1]])
         psi_out[done:done + count] = psi_hat + prior[:, None] * (r_inv @ z[:, :, None])[:, :, 0]
+        lp_out[done:done + count] = -(t + 1) * np.log(sigma_out[done:done + count]) - gammas[:, 0]
         done += count
-    return UnitRootChain(psi=psi_out, sigma=sigma_out, burn_in=burn_in)
+    return UnitRootChain(psi=psi_out, sigma=sigma_out, log_posterior=lp_out, burn_in=burn_in)
 
 
 def chain_log_posterior(chain, design):
-    """Log posterior at every chain draw, stacked over blocks of draws so
-    that the T x block residual matrix stays small."""
-    t = design.effective_t
-    n_draws = chain.sigma.size
-    rss = np.empty(n_draws)
-    for lo in range(0, n_draws, BLOCK_DRAWS):
-        hi = min(lo + BLOCK_DRAWS, n_draws)
-        resid = design.delta_y - design.x_full @ chain.psi[lo:hi].T
-        rss[lo:hi] = np.sum(resid * resid, axis=0)
-    return -(t + 1) * np.log(chain.sigma) - rss / (2.0 * chain.sigma ** 2)
+    """Log posterior at every chain draw, as ``gibbs_chain`` recorded it."""
+    return chain.log_posterior
 
 
 @dataclass(frozen=True)

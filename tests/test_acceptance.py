@@ -298,10 +298,10 @@ def test_criterion_7_property_suite():
     # Geweke pair-check, unit-root conditionals: the Gibbs chain moments
     # match an i.i.d. draw from the exact factorized posterior.
     design = ur.build_design(ar1_series(seed=7, n=13), ur.UnitRootSpec(p=1))
-    coef, _, rss_mat, _ = linalg.ols_solve(design.x_full, design.delta_y)
+    coef, _, rss_mat, r = linalg.ols_solve(design.x_full, design.delta_y)
     psi_hat, rss_hat = coef.ravel(), float(rss_mat[0, 0])
     t, k = design.x_full.shape
-    r_inv = np.linalg.inv(linalg.qr_r_factor(design.x_full))
+    r_inv = np.linalg.inv(r)
     n = 40_000
     rng = RngState(91, 0)
     v = (0.5 * rss_hat) / rng.gamma_array(0.5 * (t - k), n)

@@ -221,6 +221,17 @@ class TestChain:
             )
             assert lp[i] == pytest.approx(direct, abs=1e-8 * max(1.0, abs(direct)))
 
+    @pytest.mark.parametrize("n, dummies", [(2, 0), (3, 1), (4, 3), (5, 3)])
+    def test_chain_log_posterior_at_every_draw(self, n, dummies):
+        spec = co.VecmSpec(n=n, p=2, n_seasonal_dummies=dummies)
+        d = co.build_vecm_design(random_walks(seed=n, n=90, dim=n), spec)
+        chain = co.gibbs_chain(d, RngState(n, 4), n_draws=600, burn_in=0)
+        lp = co.chain_log_posterior(chain, d)
+        direct = [co.log_posterior(co.CointDraw(eta=eta, omega=omega), d)
+                  for eta, omega in zip(chain.eta, chain.omega)]
+        assert lp.shape == (600,)
+        np.testing.assert_allclose(lp, direct, rtol=1e-12, atol=0.0)
+
     def test_determinism(self, tiny_vecm_design):
         a = co.gibbs_chain(tiny_vecm_design, RngState(4, 1), n_draws=300)
         b = co.gibbs_chain(tiny_vecm_design, RngState(4, 1), n_draws=300)

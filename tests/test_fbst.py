@@ -118,6 +118,10 @@ class TestBridge:
         assert pvalue_from_ev(0.0, spec) == 0.0
         assert pvalue_from_ev(1.0, spec) == 1.0
 
+    def test_ev_within_rounding_of_zero(self):
+        # 1 - 1e-17 rounds to 1: the complement is exactly 1, whose p-value is 0.
+        assert pvalue_from_ev(1e-17, BridgeSpec(m=9, h=4)) == 0.0
+
     def test_monotone_in_p(self):
         spec = BridgeSpec(m=12, h=5)
         ps = np.linspace(0.001, 0.999, 60)

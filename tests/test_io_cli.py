@@ -118,7 +118,8 @@ class TestRunConfig:
                       dimension_convention="other").validate()
         with pytest.raises(ConfigError):
             RunConfig(input_path="x.csv", engine="unitroot", p=0).validate()
-        for policy in ("bogus", "bridge:0.01", "bridge:p=2", "fixed:x", "fixed:-0.1"):
+        for policy in ("bogus", "bridge:0.01", "bridge:p=2", "bridge:p=1e-17", "fixed:x",
+                       "fixed:-0.1"):
             with pytest.raises(ConfigError):
                 RunConfig(input_path="x.csv", engine="coint",
                           threshold_policy=policy).validate()
@@ -257,6 +258,7 @@ class TestCliCoint:
         (["--dummies", "5", "--dummy-period", "4"], None),
         (["--threshold-policy", "bogus"], None),
         (["--threshold-policy", "bridge:p=2"], None),
+        (["--threshold-policy", "bridge:p=1e-17"], None),
         ([], "abc"),
         (["--delimiter", ""], None),
         (["--delimiter", ";;"], None),
@@ -264,7 +266,8 @@ class TestCliCoint:
         (["--stream", "-1"], None),
         ([], "-5"),
         (["--output", "{tmp}/missing/report.json"], None),
-    ], ids=["p0", "dummies-ge-period", "policy-bogus", "bridge-p2", "env-seed-abc",
+    ], ids=["p0", "dummies-ge-period", "policy-bogus", "bridge-p2", "bridge-p-tiny",
+            "env-seed-abc",
             "delimiter-empty", "delimiter-two-chars", "seed-negative", "stream-negative",
             "env-seed-negative", "output-dir-missing"])
     def test_exit_4_on_config_error(self, pair_csv, tmp_path, capsys, monkeypatch, args,

@@ -1,17 +1,27 @@
-"""Golden SHA-256 hashes of the random streams and of full Gibbs chains.
+"""Golden SHA-256 hashes of the random streams, of full Gibbs chains and
+of CLI reports.
 
 Each case draws from a fixed ``(seed, stream)`` and hashes the float64
-bytes of the result.  A hash change means the draws changed: bit-identity
-holds for a fixed ``(seed, stream)`` on a given numpy build and SIMD
-dispatch, which is what these tests pin.  A sampler rewrite must leave
-every hash as it is.
+bytes of the result, or the JSON report of a CLI run.  A hash change means
+the draws or the report changed: bit-identity holds for a fixed
+``(seed, stream)`` on a given numpy build and SIMD dispatch, which is what
+these tests pin.  A sampler rewrite must leave every hash as it is.  The
+chain cases hash the draws only, not their log posteriors, whose last bit
+depends on how they are evaluated; the report cases pin what those log
+posteriors decide.
 """
+import contextlib
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import ar1_series, random_walks
+from evcoint import cli
 from evcoint import cointegration as co
 from evcoint import unitroot as ur
 from evcoint.rng import (
@@ -74,7 +84,7 @@ def _unitroot_design():
 def _unitroot_chain():
     design = _unitroot_design()
     chain = ur.gibbs_chain(design, RngState(SEED, STREAM), n_draws=5000, burn_in=100)
-    return digest(chain.psi, chain.sigma, ur.chain_log_posterior(chain, design))
+    return digest(chain.psi, chain.sigma)
 
 
 def _vecm_design(n, p, dummies):
@@ -85,7 +95,7 @@ def _vecm_design(n, p, dummies):
 def _vecm_chain(n, p, dummies, n_draws):
     design = _vecm_design(n, p, dummies)
     chain = co.gibbs_chain(design, RngState(SEED, STREAM), n_draws=n_draws, burn_in=100)
-    return digest(chain.eta, chain.omega, co.chain_log_posterior(chain, design))
+    return digest(chain.eta, chain.omega)
 
 
 def _scalars_after_chain():
@@ -94,6 +104,24 @@ def _scalars_after_chain():
     co.gibbs_chain(_vecm_design(3, 2, 0), rng, n_draws=1500, burn_in=0)
     return digest([rng.uniform(), rng.standard_normal(), rng.gamma(3.3)],
                   rng.standard_normal(5), rng.uniform(3))
+
+
+def _report(command, data, *args):
+    """SHA-256 of the JSON report of one CLI run on ``data``, without the
+    wall-clock time and the input path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        lines = [",".join(f"y{j}" for j in range(data.shape[1]))]
+        lines += [",".join(repr(float(v)) for v in row) for row in data]
+        path.write_text("\n".join(lines) + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command, str(path), "--seed", "7", *args])
+    assert code == 0
+    report = json.loads(out.getvalue())
+    del report["wall_clock_s"], report["config"]["input_path"]
+    text = json.dumps(report, indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 CASES = {
@@ -107,6 +135,12 @@ CASES = {
     "vecm_chain_n3_odd_block": lambda: _vecm_chain(3, 2, 0, 3000),
     "vecm_chain_n4_dummies": lambda: _vecm_chain(4, 2, 3, 3000),
     "scalars_after_chain": _scalars_after_chain,
+    "report_unitroot": lambda: _report(
+        "unitroot", ar1_series(seed=5, n=90)[:, None], "-p", "3", "--trend",
+        "--n-draws", "4000", "--burn-in", "200"),
+    "report_rank_bridge": lambda: _report(
+        "coint", random_walks(seed=5, n=100, dim=3), "-p", "2", "--dummies", "3",
+        "--threshold-policy", "bridge:p=0.01", "--n-draws", "3000", "--burn-in", "300"),
 }
 
 GOLDEN = {
@@ -115,11 +149,13 @@ GOLDEN = {
     "normal_array": "acc036dcc115b23b3e8343e0149f78cca0fd4de8b1ca2ca62cb2b0806a3c712b",
     "gamma": "fbd37c1cc56dc7f660a39c5e39da3ea2da36be7c4879a7b871385da668a27736",
     "inverse_wishart": "ef7e02fe04a36c9aabf300a8bb467f54954638e138ce1c5bb4aecd12a81b1435",
-    "unitroot_chain": "e248936bba6a0baa140363205fa7e8eb77ff7962eb660346235bbe66617e45b4",
-    "vecm_chain_n2": "a26e4308a74f8e3b35ed66e2ec673edd94cac81752d2d7afa06d92eda9164172",
-    "vecm_chain_n3_odd_block": "5315e8e81dd2f495e3737b0da8d80cc0fc427180560bd3b5b714fcf9b2c106ea",
-    "vecm_chain_n4_dummies": "b80791119d8869d5f1971b151022fb02c885d6ecfde47709466f53d4a50708ab",
+    "unitroot_chain": "e7324d54d582ffe7b9f7d9b3afded6cb9869f747da50b9c4f712a8d524a00b5c",
+    "vecm_chain_n2": "88ae79b5281c46d72a8b589e25af3334ec7d6bd507ea2ba08400d7abe113216d",
+    "vecm_chain_n3_odd_block": "6736e6c384636a59a1211a736fe31f47e2b639d29cf47d4f858a8859f87a70d0",
+    "vecm_chain_n4_dummies": "cc8e65fec16e3f75929506f5ad9b2d45c2ba97becc71dd6f2ef411016e7f06f8",
     "scalars_after_chain": "50bc3dc78c2f47c7a7e0e1313f446c7cf9565d5a3cc1f3c3728411cd3f12feab",
+    "report_unitroot": "c9b140997c453b322a6cba6f93d747db84d52b7f080a9aaf7b3d3db43f4698ce",
+    "report_rank_bridge": "bd6705a0e117e281adebcf5c47fb4bf70f8cd098857c51b7e21960625bca5517",
 }
 
 

@@ -94,6 +94,19 @@ class TestPosteriorAndMap:
             )
             assert lp[i] == pytest.approx(direct, abs=1e-10)
 
+    @pytest.mark.parametrize("p, trend, intercept", [
+        (1, False, True), (3, True, True), (4, True, True), (2, False, False),
+    ])
+    def test_chain_log_posterior_at_every_draw(self, p, trend, intercept):
+        spec = ur.UnitRootSpec(p=p, include_trend=trend, include_intercept=intercept)
+        design = ur.build_design(ar1_series(seed=p, n=100), spec)
+        chain = ur.gibbs_chain(design, RngState(p, 4), n_draws=700, burn_in=0)
+        lp = ur.chain_log_posterior(chain, design)
+        direct = [ur.log_posterior(ur.UnitRootDraw(psi=psi, sigma=float(sigma)), design)
+                  for psi, sigma in zip(chain.psi, chain.sigma)]
+        assert lp.shape == (700,)
+        np.testing.assert_allclose(lp, direct, rtol=1e-12, atol=0.0)
+
 
 class TestGibbs:
     def test_determinism(self, small_unitroot_design):
@@ -113,12 +126,12 @@ class TestGibbs:
         the OLS point.  Drawing directly from that factorization gives an
         i.i.d. sample whose first two moments must match the Gibbs output."""
         design = small_unitroot_design
-        coef, _, rss_mat, _ = linalg.ols_solve(design.x_full, design.delta_y)
+        coef, _, rss_mat, r = linalg.ols_solve(design.x_full, design.delta_y)
         psi_hat = coef.ravel()
         rss_hat = float(rss_mat[0, 0])
         t = design.effective_t
         k = psi_hat.size
-        r_inv = np.linalg.inv(linalg.qr_r_factor(design.x_full))
+        r_inv = np.linalg.inv(r)
 
         n = 60_000
         rng = RngState(2024, 1)
