@@ -2,10 +2,11 @@
 
 Pipeline: stack the VECM regression, concentrate out the short-run
 dynamics (two auxiliary regressions and a canonical-correlation
-eigenproblem) to get the rank-constrained posterior maxima, run one shared
-matrix-normal / inverse-Wishart Gibbs chain over (eta, Omega), and count
+eigenproblem) to get the rank-constrained posterior maxima, draw one shared
+stream of independent posterior draws of (eta, Omega), and count
 tangent-set membership per rank.  The maximum-eigenvalue statistics come
-from the same eigenvalue spectrum.
+from the same eigenvalue spectrum.  The paper's matrix-normal /
+inverse-Wishart Gibbs chain stays as the reference sampler.
 """
 from __future__ import annotations
 
@@ -126,6 +127,12 @@ def build_vecm_design(data, spec, start_period_index=0):
     blocks.append(y_minus1)
     names.extend(f"level_y{i + 1}" for i in range(n))
     z = np.hstack(blocks)
+    if t_eff - z.shape[1] < n:
+        # Omega's marginal posterior IW(S, T-k) needs T - k >= n.
+        raise SeriesTooShort(
+            f"need at least {p + z.shape[1] + n} observations for {z.shape[1]} "
+            f"regressors per equation, got {y.shape[0]}"
+        )
     return VecmDesign(
         delta_y=delta_y,
         z=z,
@@ -294,6 +301,26 @@ def chain_log_posterior(chain, design):
     return chain.log_posterior
 
 
+def direct_draws(design, rng, n_draws=DEFAULT_N_DRAWS):
+    """Log posterior at independent draws from the exact posterior.
+
+    Omega's marginal is IW(S, T-k).  With S = L L' and Bartlett factor A,
+    Omega^-1 = L^-T A A' L^-1, where A_ii^2 = c_i ~ chi2_{T-k-i} and the
+    n(n-1)/2 entries below the diagonal are standard normal; given Omega
+    the mean term tr(Omega^-1 (eta - eta_hat)' Z'Z (eta - eta_hat)) is
+    chi2_{kn}.  So ln|Omega| = ln|S| - sum ln c_i, and the quadratic terms
+    add up to q ~ chi2_{kn + n(n-1)/2}: the kernel of ``log_posterior`` is
+    -((T+n+1)/2)(ln|S| - sum ln c_i) - (sum c_i + q)/2.
+    """
+    t, n = design.effective_t, design.spec.n
+    k = design.z.shape[1]
+    c = np.column_stack([rng.gamma_array(0.5 * (t - k - i), n_draws, scale=2.0)
+                         for i in range(n)])
+    q = rng.gamma_array(0.5 * (k * n + n * (n - 1) // 2), n_draws, scale=2.0)
+    log_det = linalg.log_det_spd(design.fit.rss)
+    return -0.5 * (t + n + 1) * (log_det - np.log(c).sum(axis=1)) - 0.5 * (c.sum(axis=1) + q)
+
+
 def max_eig_statistic(eigenvalues, t, rank):
     """Johansen maximum-eigenvalue statistic -T ln(1 - lambda_{r+1})."""
     lam = np.asarray(eigenvalues, dtype=float)
@@ -364,10 +391,10 @@ def test_rank(
     dimension_convention="paper-literal",
     start_period_index=0,
 ):
-    """Sequential rank test over one shared Gibbs chain.
+    """Sequential rank test over one shared stream of posterior draws.
 
     The full posterior is the same for every rank hypothesis (only the
-    constrained maximum changes), so a single chain yields exactly nested
+    constrained maximum changes), so a single stream yields exactly nested
     tangent-set counts and non-decreasing e-values.  Starting from r = 0,
     hypotheses are rejected while the e-value stays below the policy
     threshold; the selected rank is the first survivor.
@@ -389,8 +416,7 @@ def test_rank(
 
     thresholds = [_threshold_for(threshold_policy, dimension_convention, n, k, r)
                   for r in range(n)] + [None]
-    chain = gibbs_chain(design, rng, n_draws=n_draws, burn_in=burn_in)
-    lp = chain_log_posterior(chain, design)
+    lp = direct_draws(design, rng, n_draws=n_draws)
     clip = CLIP_TOL * max(1.0, abs(stars[n]))
     hypotheses = []
     selected = n

@@ -92,11 +92,12 @@ def evbar_from_pvalue(p, spec):
 
     Useful when the e-value is within double-precision rounding of 1;
     ``1 - ev_from_pvalue(p, spec)`` loses all digits there while the
-    complement stays exactly representable.
+    complement stays exactly representable.  A p so small that ``1 - p``
+    rounds to 1 gives the limit 1, as p = 0 does.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p-value must lie in [0, 1]")
-    if p == 0.0:
+    if 1.0 - p == 1.0:
         return 1.0
     if p == 1.0:
         return 0.0

@@ -64,6 +64,16 @@ def read_csv(path, columns=None, transform="none", delimiter=",", skip_index_col
             else:
                 raise MissingColumn(c)
 
+    names = tuple(header[idx] for idx in indices)
+    try:
+        out = np.array([float(row[idx]) for row in data_rows for idx in indices])
+    except (IndexError, ValueError):
+        out = None
+    if out is not None and np.isfinite(out).all() and (transform != "log" or (out > 0).all()):
+        out = out.reshape(len(data_rows), len(indices))
+        return TimeSeriesMatrix(values=np.log(out) if transform == "log" else out,
+                                column_names=names)
+    # Some cell is bad: walk the cells in order to report the first one.
     out = np.empty((len(data_rows), len(indices)))
     for i, row in enumerate(data_rows):
         for j, idx in enumerate(indices):
@@ -81,4 +91,4 @@ def read_csv(path, columns=None, transform="none", delimiter=",", skip_index_col
                     raise NonPositiveForLog(i + 2, idx + 1)
                 value = np.log(value)
             out[i, j] = value
-    return TimeSeriesMatrix(values=out, column_names=tuple(header[idx] for idx in indices))
+    return TimeSeriesMatrix(values=out, column_names=names)

@@ -16,7 +16,9 @@ from .cointegration import parse_threshold_policy
 from .errors import ConfigError
 from .fbst import CONVENTIONS, DEFAULT_BURN_IN, DEFAULT_N_DRAWS
 
-SCHEMA = "evcoint/1"
+#: Report schema.  evcoint/2: the e-values and P(g0 >= 0) come from
+#: independent draws of the exact posterior instead of a Gibbs chain.
+SCHEMA = "evcoint/2"
 
 
 @dataclass

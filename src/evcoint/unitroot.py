@@ -6,8 +6,9 @@ The model is the differenced autoregression
 
 with the sharp hypothesis g0 = 0.  The posterior under the 1/sigma prior is
 normal-inverse-gamma around the OLS point; the hypothesis-constrained
-maximum comes from the restricted regression, and the e-value from a Gibbs
-chain over (psi, sigma).
+maximum comes from the restricted regression, and the e-value from
+independent draws of that posterior.  The paper's Gibbs chain over
+(psi, sigma) stays as the reference sampler.
 """
 from __future__ import annotations
 
@@ -102,6 +103,11 @@ def build_design(series, spec):
         cols.append(dy[p - 1 - j:-j])
         names.append(f"diff_lag{j}")
     x_full = np.column_stack(cols)
+    k = x_full.shape[1]
+    if t_eff <= k:
+        # sigma's marginal posterior Gamma((T-k)/2) needs T > k.
+        raise SeriesTooShort(f"need at least {p + k + 1} observations for {k} "
+                             f"regressors, got {y.size}")
     x_restricted = np.delete(x_full, gamma0_index, axis=1)
     return UnitRootDesign(
         delta_y=delta_y,
@@ -130,14 +136,18 @@ def restricted_map(design):
     ``log_s_star`` evaluated with the same constant convention as
     ``log_posterior``.
     """
-    fit = linalg.ols_solve(design.x_restricted, design.delta_y)
-    rss_r = float(fit.rss[0, 0])
     scale = float(design.delta_y.ravel() @ design.delta_y.ravel())
+    if design.x_restricted.shape[1]:
+        fit = linalg.ols_solve(design.x_restricted, design.delta_y)
+        coef, rss_r = fit.coef.ravel(), float(fit.rss[0, 0])
+    else:
+        # p = 1 without deterministic terms: the restricted model has no regressor.
+        coef, rss_r = np.empty(0), scale
     if rss_r < DEGENERATE_RSS_TOL * max(scale, 1.0):
         raise DegenerateRss("restricted regression fits the series perfectly")
     t = design.effective_t
     sigma_r = math.sqrt(rss_r / (t + 1))
-    psi_full = np.insert(fit.coef.ravel(), design.gamma0_index, 0.0)
+    psi_full = np.insert(coef, design.gamma0_index, 0.0)
     log_s_star = log_posterior(UnitRootDraw(psi=psi_full, sigma=sigma_r), design)
     return psi_full, sigma_r, log_s_star
 
@@ -200,6 +210,26 @@ def chain_log_posterior(chain, design):
     return chain.log_posterior
 
 
+def direct_draws(design, rng, n_draws=DEFAULT_N_DRAWS):
+    """Independent draws from the exact posterior, reduced to what a run
+    needs: ``(log_posterior, g0)``, one value of each per draw.
+
+    u = RSS/(2 sigma^2) ~ Gamma((T-k)/2) is sigma's marginal, and given
+    sigma, psi = psi_hat + sigma R^-1 z with z ~ N(0, I_k).  Then
+    RSS(psi)/(2 sigma^2) = u + |z|^2/2, so the kernel of ``log_posterior``
+    is -(T+1) ln sigma - u - |z|^2/2.
+    """
+    fit = design.fit
+    t, k = design.x_full.shape
+    u = rng.gamma_array(0.5 * (t - k), n_draws)
+    z = rng.standard_normal((n_draws, k))
+    sigma = np.sqrt(float(fit.rss[0, 0]) / (2.0 * u))
+    lp = -(t + 1) * np.log(sigma) - u - 0.5 * np.einsum("ij,ij->i", z, z)
+    g = design.gamma0_index
+    g0 = fit.coef[g, 0] + sigma * (z @ np.linalg.inv(fit.r)[g])
+    return lp, g0
+
+
 @dataclass(frozen=True)
 class UnitRootResult:
     evidence: EvidenceResult
@@ -225,11 +255,9 @@ def test_unit_root(series, spec, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_B
     """Full unit-root run: e-value, posterior P(g0 >= 0) and the ADF t-ratio."""
     design = build_design(series, spec)
     _, _, log_s_star = restricted_map(design)
-    chain = gibbs_chain(design, rng, n_draws=n_draws, burn_in=burn_in)
-    lp = chain_log_posterior(chain, design)
+    lp, g0 = direct_draws(design, rng, n_draws=n_draws)
     evidence = estimate_evidence(log_s_star, lp, burn_in=burn_in)
-    g0 = chain.psi[burn_in:, design.gamma0_index]
-    p_nonstationary = float(np.mean(g0 >= 0.0))
+    p_nonstationary = float(np.mean(g0[burn_in:] >= 0.0))
     sigma_map = math.sqrt(float(design.fit.rss[0, 0]) / (design.effective_t + 1))
     return UnitRootResult(
         evidence=evidence,

@@ -221,13 +221,20 @@ def test_criterion_6_small_instance_oracles():
     design = ur.build_design(ar1_series(seed=7, n=13), ur.UnitRootSpec(p=1))
     assert design.effective_t == 12
     _, _, log_s_star = ur.restricted_map(design)
-    grid_ev, _ = grid_posterior_unitroot(design, log_s_star)
+    grid_ev, grid_p = grid_posterior_unitroot(design, log_s_star)
     chain = ur.gibbs_chain(design, RngState(0), n_draws=N_DRAWS, burn_in=BURN_IN)
     from evcoint.fbst import estimate_evidence
 
     res = estimate_evidence(log_s_star, ur.chain_log_posterior(chain, design),
                             burn_in=BURN_IN)
     assert abs(res.ev - grid_ev) < 0.03, f"ev {res.ev:.4f} vs grid {grid_ev:.4f}"
+    # The CLI's direct sampler, on the same oracle.
+    direct = ur.test_unit_root(ar1_series(seed=7, n=13), ur.UnitRootSpec(p=1), RngState(0),
+                               n_draws=N_DRAWS, burn_in=BURN_IN)
+    assert abs(direct.evidence.ev - grid_ev) < 0.03, (
+        f"direct ev {direct.evidence.ev:.4f} vs grid {grid_ev:.4f}")
+    assert abs(direct.p_nonstationary - grid_p) < 0.01, (
+        f"direct P(g0 >= 0) {direct.p_nonstationary:.4f} vs grid {grid_p:.4f}")
     assert time.perf_counter() - start < 300.0
 
     # Cointegration constrained maximum at T = 15, n = 2 against multistart

@@ -7,6 +7,7 @@ from conftest import cointegrated_pair, random_walks
 from evcoint import cointegration as co
 from evcoint import linalg
 from evcoint.errors import NonFiniteInput, NotPositiveDefinite, SeriesTooShort
+from evcoint.fbst import estimate_evidence
 from evcoint.rng import (
     InverseWishartParams,
     MatrixNormalParams,
@@ -14,6 +15,18 @@ from evcoint.rng import (
     sample_inverse_wishart,
     sample_matrix_normal,
 )
+
+
+def weakly_cointegrated(seed, n, phi):
+    """Four random walks of which the first two differ by an AR(1) with
+    coefficient ``phi``."""
+    g = np.random.default_rng(seed)
+    w = np.cumsum(g.normal(size=(n, 4)), axis=0)
+    e = np.zeros(n)
+    for t in range(1, n):
+        e[t] = phi * e[t - 1] + g.normal()
+    w[:, 1] = w[:, 0] + e
+    return w
 
 
 class TestSpecAndDesign:
@@ -93,6 +106,16 @@ class TestSpecAndDesign:
             co.build_vecm_design(bad, co.VecmSpec(n=2, p=1))
         with pytest.raises(NonFiniteInput):
             co.build_vecm_design(random_walks(n=40, dim=3), co.VecmSpec(n=2, p=1))
+
+    def test_fewer_residual_degrees_of_freedom_than_series(self):
+        # p = 8 with 3 dummies on 29 x 2: k = 20 and T - k = 1 < n leaves
+        # Omega's marginal IW(S, T - k) improper.
+        spec = co.VecmSpec(n=2, p=8, n_seasonal_dummies=3)
+        data = random_walks(seed=4, n=30, dim=2)
+        with pytest.raises(SeriesTooShort):
+            co.build_vecm_design(data[:29], spec)
+        d = co.build_vecm_design(data, spec)
+        assert d.effective_t - d.z.shape[1] == 2
 
 
 class TestConcentration:
@@ -292,6 +315,53 @@ class TestChain:
                 a, b = mc ** moment, sc ** moment
                 se = math.sqrt(a.var() / a.size + 3.0 * b.var() / b.size)
                 assert abs(a.mean() - b.mean()) < 4.0 * se
+
+
+class TestDirect:
+    @pytest.mark.parametrize("n, dummies", [(2, 0), (3, 1), (4, 3)])
+    def test_log_posterior_at_every_draw(self, n, dummies):
+        d = co.build_vecm_design(random_walks(seed=13, n=70, dim=n),
+                                 co.VecmSpec(n=n, p=2, n_seasonal_dummies=dummies))
+        draws = 200
+        lp = co.direct_draws(d, RngState(n, 4), n_draws=draws)
+        # Literal (eta, Omega) draws from the same chi-squares: the kernel
+        # depends on the normals only through their sum of squares q, so
+        # any normals with that sum will do.
+        rng = RngState(n, 4)
+        t, k = d.effective_t, d.z.shape[1]
+        c = np.column_stack([rng.gamma_array(0.5 * (t - k - i), draws, scale=2.0)
+                             for i in range(n)])
+        q = rng.gamma_array(0.5 * (k * n + n * (n - 1) // 2), draws, scale=2.0)
+        eta_hat, _, s, r = d.fit
+        l_s = np.linalg.cholesky(s)
+        rows, cols = np.tril_indices(n, -1)
+        g = np.random.default_rng(0)
+        for i in range(draws):
+            v = g.normal(size=k * n + rows.size)
+            v *= math.sqrt(q[i]) / np.linalg.norm(v)
+            a = np.diag(np.sqrt(c[i]))
+            a[rows, cols] = v[k * n:]
+            ainv_l = np.linalg.solve(a, l_s.T)
+            omega = ainv_l.T @ ainv_l                  # Omega^-1 = L^-T A A' L^-1
+            eta = eta_hat + np.linalg.solve(r, v[:k * n].reshape(k, n)) @ \
+                np.linalg.cholesky(omega).T
+            want = co.log_posterior(co.CointDraw(eta=eta, omega=omega), d)
+            assert lp[i] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("data, spec", [
+        (random_walks(seed=2, n=100, dim=2), co.VecmSpec(n=2, p=1, n_seasonal_dummies=1)),
+        (weakly_cointegrated(seed=5, n=100, phi=0.5),
+         co.VecmSpec(n=4, p=2, n_seasonal_dummies=3)),
+    ], ids=["n2-dummies", "n4-dummies"])
+    def test_agrees_with_gibbs(self, data, spec):
+        report = co.test_rank(data, spec, RngState(21), n_draws=21_000, burn_in=1_000)
+        design = co.build_vecm_design(data, spec)
+        chain = co.gibbs_chain(design, RngState(21), n_draws=21_000, burn_in=1_000)
+        assert 0.1 < report.hypotheses[0].evidence.ev < 0.9
+        for h in report.hypotheses:
+            gibbs = estimate_evidence(h.log_s_star, chain.log_posterior, burn_in=1_000)
+            se = math.hypot(h.evidence.mc_se, gibbs.mc_se_batch)
+            assert abs(h.evidence.ev - gibbs.ev) <= 4.0 * se, h.rank
 
 
 class TestMaxEig:

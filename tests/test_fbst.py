@@ -122,6 +122,13 @@ class TestBridge:
         # 1 - 1e-17 rounds to 1: the complement is exactly 1, whose p-value is 0.
         assert pvalue_from_ev(1e-17, BridgeSpec(m=9, h=4)) == 0.0
 
+    def test_p_within_rounding_of_zero(self):
+        # 1 - 1e-17 rounds to 1, whose chi-square quantile is infinite: the
+        # bridge returns its p -> 0 limits instead.
+        spec = BridgeSpec(m=9, h=4)
+        assert evbar_from_pvalue(1e-17, spec) == 1.0
+        assert ev_from_pvalue(1e-17, spec) == 0.0
+
     def test_monotone_in_p(self):
         spec = BridgeSpec(m=12, h=5)
         ps = np.linspace(0.001, 0.999, 60)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import ar1_series, cointegrated_pair
-from evcoint import cli, cointegration, io
+from conftest import ar1_series, cointegrated_pair, random_walks
+from evcoint import cli, cointegration, io, unitroot
 from evcoint.errors import (
     ConfigError,
     InputError,
@@ -89,6 +89,24 @@ class TestReadCsv:
         with pytest.raises(ParseError):
             io.read_csv(tmp_path / "m.csv")
 
+    @pytest.mark.parametrize("transform", ["none", "log"])
+    def test_values_match_the_per_cell_reading(self, tmp_path, transform):
+        cells = [[" 1.5", "2e-3 ", "7"], ["0.1", "+3.25", "1e300"], ["12", " 4 ", "0.333"]]
+        path = write_csv(tmp_path / "m.csv", ["a", "b", "c"], cells)
+        want = np.array([[float(c.strip()) for c in row] for row in cells])
+        if transform == "log":
+            want = np.array([[np.log(v) for v in row] for row in want.tolist()])
+        got = io.read_csv(path, columns=["c", "a"], transform=transform).values
+        np.testing.assert_array_equal(got, want[:, [2, 0]])
+
+    def test_first_bad_cell_in_row_order_is_reported(self, tmp_path):
+        (tmp_path / "m.csv").write_text("x,y\n1,2\n3,-1\n4\nNA,5\n")
+        for transform, error, where in (("none", ParseError, (4, 2)),
+                                        ("log", NonPositiveForLog, (3, 2))):
+            with pytest.raises(error) as exc:
+                io.read_csv(tmp_path / "m.csv", transform=transform)
+            assert (exc.value.row, exc.value.col) == where
+
     def test_missing_file_and_header_only(self, tmp_path):
         with pytest.raises(InputError):
             io.read_csv(tmp_path / "absent.csv")
@@ -161,7 +179,7 @@ class TestCliUnitroot:
         code, out, err = run_cli(["unitroot", series_csv, "-p", "2"] + self.ARGS, capsys)
         assert code == 0, err
         report = json.loads(out)
-        assert report["schema"] == "evcoint/1"
+        assert report["schema"] == "evcoint/2"
         assert report["engine"] == "unitroot"
         row = report["rows"][0]
         assert 0.0 <= row["ev"] <= 1.0
@@ -275,7 +293,7 @@ class TestCliCoint:
         def no_sampling(*_, **__):
             raise AssertionError("sampling started before the configuration was checked")
 
-        monkeypatch.setattr(cointegration, "gibbs_chain", no_sampling)
+        monkeypatch.setattr(cointegration, "direct_draws", no_sampling)
         argv = ["coint", pair_csv, "--n-draws", "3000", "--burn-in", "300"]
         if env_seed is None:
             argv += ["--seed", "5"]
@@ -293,3 +311,41 @@ class TestCliCoint:
         assert code == 0
         assert out.startswith("| hypothesis |")
         assert "rank = 0" in out
+
+
+def _forbid(monkeypatch, names, message):
+    def forbidden(*_, **__):
+        raise AssertionError(message)
+
+    for module in (unitroot, cointegration):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+
+
+def test_cli_runs_no_gibbs_chain(series_csv, pair_csv, capsys, monkeypatch):
+    _forbid(monkeypatch, ["gibbs_chain", "chain_log_posterior"], "the CLI ran a Gibbs chain")
+    for argv in (["unitroot", series_csv, "-p", "2"], ["coint", pair_csv, "-p", "1"]):
+        code, out, err = run_cli(argv + ["--n-draws", "3000", "--burn-in", "300"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["rows"]
+
+
+def test_cli_unit_root_without_regressors_but_the_level(series_csv, capsys):
+    code, out, err = run_cli(["unitroot", series_csv, "-p", "1", "--no-intercept",
+                              "--n-draws", "3000", "--burn-in", "300"], capsys)
+    assert code == 0, err
+    assert 0.0 <= json.loads(out)["rows"][0]["ev"] <= 1.0
+
+
+@pytest.mark.parametrize("command, n_obs, dim, args", [
+    ("unitroot", 18, 1, ["-p", "8", "--trend"]),
+    ("coint", 29, 2, ["-p", "8", "--dummies", "3"]),
+], ids=["unitroot-T-equals-k", "coint-T-minus-k-below-n"])
+def test_exit_2_on_too_few_observations_for_the_regressors(tmp_path, capsys, monkeypatch,
+                                                            command, n_obs, dim, args):
+    _forbid(monkeypatch, ["gibbs_chain", "direct_draws"],
+            "sampling started on a series too short for its regressors")
+    data = random_walks(seed=9, n=n_obs, dim=dim)
+    path = write_csv(tmp_path / "short.csv", [f"y{j}" for j in range(dim)], data.tolist())
+    code, out, err = run_cli([command, path, *args, "--seed", "5"], capsys)
+    assert code == 2 and "input error" in err and out == ""

@@ -1,5 +1,5 @@
-"""Golden SHA-256 hashes of the random streams, of full Gibbs chains and
-of CLI reports.
+"""Golden SHA-256 hashes of the random streams, of full Gibbs chains, of
+the direct samplers' output and of CLI reports.
 
 Each case draws from a fixed ``(seed, stream)`` and hashes the float64
 bytes of the result, or the JSON report of a CLI run.  A hash change means
@@ -7,8 +7,9 @@ the draws or the report changed: bit-identity holds for a fixed
 ``(seed, stream)`` on a given numpy build and SIMD dispatch, which is what
 these tests pin.  A sampler rewrite must leave every hash as it is.  The
 chain cases hash the draws only, not their log posteriors, whose last bit
-depends on how they are evaluated; the report cases pin what those log
-posteriors decide.
+depends on how they are evaluated; the direct cases hash the log posterior
+(and the unit root's g0) that the CLI counts, and the report cases pin what
+those values decide.
 """
 import contextlib
 import hashlib
@@ -98,6 +99,16 @@ def _vecm_chain(n, p, dummies, n_draws):
     return digest(chain.eta, chain.omega)
 
 
+def _unitroot_direct():
+    lp, g0 = ur.direct_draws(_unitroot_design(), RngState(SEED, STREAM), n_draws=5000)
+    return digest(lp, g0)
+
+
+def _vecm_direct(n, p, dummies, n_draws):
+    return digest(co.direct_draws(_vecm_design(n, p, dummies), RngState(SEED, STREAM),
+                                  n_draws=n_draws))
+
+
 def _scalars_after_chain():
     rng = RngState(SEED, STREAM)
     ur.gibbs_chain(_unitroot_design(), rng, n_draws=1500, burn_in=0)
@@ -134,6 +145,9 @@ CASES = {
     "vecm_chain_n2": lambda: _vecm_chain(2, 1, 0, 2500),
     "vecm_chain_n3_odd_block": lambda: _vecm_chain(3, 2, 0, 3000),
     "vecm_chain_n4_dummies": lambda: _vecm_chain(4, 2, 3, 3000),
+    "unitroot_direct": _unitroot_direct,
+    "vecm_direct_n2": lambda: _vecm_direct(2, 1, 0, 2500),
+    "vecm_direct_n4_dummies": lambda: _vecm_direct(4, 2, 3, 3000),
     "scalars_after_chain": _scalars_after_chain,
     "report_unitroot": lambda: _report(
         "unitroot", ar1_series(seed=5, n=90)[:, None], "-p", "3", "--trend",
@@ -153,9 +167,12 @@ GOLDEN = {
     "vecm_chain_n2": "88ae79b5281c46d72a8b589e25af3334ec7d6bd507ea2ba08400d7abe113216d",
     "vecm_chain_n3_odd_block": "6736e6c384636a59a1211a736fe31f47e2b639d29cf47d4f858a8859f87a70d0",
     "vecm_chain_n4_dummies": "cc8e65fec16e3f75929506f5ad9b2d45c2ba97becc71dd6f2ef411016e7f06f8",
+    "unitroot_direct": "982d0e310033e048e31411c0a45e0ed900c25d985a0f1393b3c510bb5180e6ea",
+    "vecm_direct_n2": "3d025a85c6c92b0e17c5443de224c173edafca43fe4f4501f9ceb6446363e7f7",
+    "vecm_direct_n4_dummies": "f77787e85ec4031a45faa3da210befbb4cdcd369babf45823a8b6481bc904909",
     "scalars_after_chain": "50bc3dc78c2f47c7a7e0e1313f446c7cf9565d5a3cc1f3c3728411cd3f12feab",
-    "report_unitroot": "c9b140997c453b322a6cba6f93d747db84d52b7f080a9aaf7b3d3db43f4698ce",
-    "report_rank_bridge": "bd6705a0e117e281adebcf5c47fb4bf70f8cd098857c51b7e21960625bca5517",
+    "report_unitroot": "12a9c4571b0e852a42ce74698b1c8ac145d599f1fa9c343f01aebc81aa845f0b",
+    "report_rank_bridge": "918b9c033a854911e30c318a24f45e3755b243a14d5fe2263a8152530b187a8d",
 }
 
 

@@ -50,6 +50,15 @@ class TestSpecAndDesign:
         with pytest.raises(SeriesTooShort):
             ur.build_design(np.arange(10.0), ur.UnitRootSpec(p=1))
 
+    def test_fewer_observations_than_regressors(self):
+        # p = 8 with trend on 18 points: T = k = 10 leaves sigma's marginal
+        # Gamma((T - k)/2) without a shape.
+        spec = ur.UnitRootSpec(p=8, include_trend=True)
+        walk = np.cumsum(np.random.default_rng(1).normal(size=19))
+        with pytest.raises(SeriesTooShort):
+            ur.build_design(walk[:18], spec)
+        assert ur.build_design(walk, spec).effective_t == 11
+
     def test_non_finite(self):
         y = ar1_series(n=20)
         y[5] = np.nan
@@ -162,6 +171,53 @@ class TestGibbs:
         assert abs(res.ev - grid_ev) < 0.03
         g0 = chain.psi[1_000:, design.gamma0_index]
         assert abs(float(np.mean(g0 >= 0)) - grid_p) < 0.01
+
+
+class TestDirect:
+    @pytest.mark.parametrize("p, trend, intercept", [
+        (1, False, False), (1, False, True), (2, True, True), (4, True, True),
+    ])
+    def test_log_posterior_and_g0_at_every_draw(self, p, trend, intercept):
+        design = ur.build_design(ar1_series(seed=p, n=60),
+                                 ur.UnitRootSpec(p=p, include_trend=trend,
+                                                 include_intercept=intercept))
+        n = 300
+        lp, g0 = ur.direct_draws(design, RngState(p, 4), n_draws=n)
+        # The same variates, turned into literal (psi, sigma) draws.
+        rng = RngState(p, 4)
+        t, k = design.x_full.shape
+        coef, _, rss, r = design.fit
+        u = rng.gamma_array(0.5 * (t - k), n)
+        z = rng.standard_normal((n, k))
+        sigma = np.sqrt(float(rss[0, 0]) / (2.0 * u))
+        psi = coef.ravel() + sigma[:, None] * np.linalg.solve(r, z.T).T
+        for i in range(n):
+            want = ur.log_posterior(ur.UnitRootDraw(psi=psi[i], sigma=sigma[i]), design)
+            assert lp[i] == pytest.approx(want, rel=1e-10, abs=1e-10)
+        np.testing.assert_allclose(g0, psi[:, design.gamma0_index], rtol=1e-10, atol=1e-14)
+
+    def test_agrees_with_gibbs(self):
+        design = ur.build_design(ar1_series(seed=30, n=50),
+                                 ur.UnitRootSpec(p=2, include_trend=True))
+        _, _, log_s_star = ur.restricted_map(design)
+        chain = ur.gibbs_chain(design, RngState(12), n_draws=21_000, burn_in=1_000)
+        gibbs = estimate_evidence(log_s_star, chain.log_posterior, burn_in=1_000)
+        lp, _ = ur.direct_draws(design, RngState(12), n_draws=21_000)
+        direct = estimate_evidence(log_s_star, lp, burn_in=1_000)
+        assert 0.1 < direct.ev < 0.9
+        assert abs(direct.ev - gibbs.ev) < 4.0 * math.hypot(direct.mc_se, gibbs.mc_se_batch)
+
+    def test_p_nonstationary_is_the_student_t_tail(self):
+        # The marginal posterior of g0 is Student-t with T - k degrees of
+        # freedom around the OLS point, so P(g0 >= 0) = F_{T-k}(t_ADF).
+        from scipy import stats
+
+        res = ur.test_unit_root(ar1_series(seed=30, n=50),
+                                ur.UnitRootSpec(p=2, include_trend=True), RngState(5),
+                                n_draws=41_000, burn_in=1_000)
+        t, k = res.design.x_full.shape
+        exact = float(stats.t.cdf(res.adf_stat, t - k))
+        assert abs(res.p_nonstationary - exact) < 4.0 * math.sqrt(exact * (1 - exact) / 40_000)
 
 
 class TestAdfStatistic:
