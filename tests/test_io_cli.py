@@ -343,7 +343,7 @@ def test_cli_unit_root_without_regressors_but_the_level(series_csv, capsys):
 ], ids=["unitroot-T-equals-k", "coint-T-minus-k-below-n"])
 def test_exit_2_on_too_few_observations_for_the_regressors(tmp_path, capsys, monkeypatch,
                                                             command, n_obs, dim, args):
-    _forbid(monkeypatch, ["gibbs_chain", "direct_draws"],
+    _forbid(monkeypatch, ["direct_draws"],
             "sampling started on a series too short for its regressors")
     data = random_walks(seed=9, n=n_obs, dim=dim)
     path = write_csv(tmp_path / "short.csv", [f"y{j}" for j in range(dim)], data.tolist())
