@@ -176,6 +176,8 @@ def main(argv=None):
         # The report file is written after the run; fail before it if it cannot be.
         if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
             raise ConfigError(f"directory of --output {args.output!r} does not exist")
+        if args.output and os.path.isdir(args.output):
+            raise ConfigError(f"--output {args.output!r} is a directory")
         report = run(config)
         text = render(report, config.output_format)
     except InputError as exc:

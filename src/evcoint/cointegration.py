@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import EigenFailure, NonFiniteInput, NotPositiveDefinite, SeriesTooShort
+from .errors import EigenFailure, NonFiniteInput, SeriesTooShort
 from .fbst import (
     DEFAULT_BURN_IN,
     DEFAULT_N_DRAWS,
@@ -27,8 +27,7 @@ from .fbst import (
     vecm_bridge_spec,
 )
 from .rng import (
-    bartlett_factors,
-    gibbs_draws,
+    _bartlett_factor,
     inverse_wishart_from_factor,
     sample_inverse_wishart,  # noqa: F401  (perfbench's tracer wraps it under this name)
 )
@@ -229,16 +228,10 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     Omega | eta ~ IW(S + (eta - eta_hat)' Z'Z (eta - eta_hat), T),
     starting from (eta_hat, S/T).
 
-    The random inputs come a block at a time from ``gibbs_draws``: the
-    k x n normals G of the eta update and the Bartlett factor A of the
-    inverse-Wishart, exactly as ``sample_inverse_wishart`` would draw them.
-    Only the Omega recursion runs per draw; G'G and
-    eta = eta_hat + R^-1 G L_om' are stacked over the block.
-
     The log posterior of each draw is read off its variates: the scale
-    M = RSS(eta) has Cholesky factor L and Omega = L A^-T A^-1 L', so
-    ln|Omega| = 2 sum ln l_jj - sum ln gamma_j and tr(Omega^-1 M) = tr(A A')
-    = sum gamma_j + sum lower^2.
+    M = RSS(eta) has Cholesky factor L and the Bartlett factor A gives
+    Omega = L A^-T A^-1 L', so ln|Omega| = 2 (sum ln l_jj - sum ln a_jj) and
+    tr(Omega^-1 M) = tr(A A') = sum a_ij^2.
     """
     t, n = design.effective_t, design.spec.n
     eta_hat, _, s, r = design.fit
@@ -248,52 +241,17 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     eta_out = np.empty((n_draws, k, n))
     omega_out = np.empty((n_draws, n, n))
     lp_out = np.empty(n_draws)
-    half = 0.5 * (t + n + 1)
-    shapes = [0.5 * (t - i) for i in range(n)]
-    cholesky = np.linalg.cholesky
-    done = 0
-    for normals, gammas, lower in gibbs_draws(rng, n_draws, k * n, shapes, 2.0):
-        count = normals.shape[0]
-        g = normals.reshape(count, k, n)
+    for i in range(n_draws):
+        _, l_om = linalg.as_spd(omega, "omega")
+        g = rng.standard_normal((k, n))
+        eta_out[i] = eta_hat + r_inv @ g @ l_om.T
         # (eta - eta_hat)' Z'Z (eta - eta_hat) = L_om G'G L_om'.
-        gtg = np.swapaxes(g, 1, 2) @ g
-        a = bartlett_factors(gammas, lower)
-        l_om = np.empty((count, n, n))
-        l_iw = np.empty((count, n, n))
-        scale = np.zeros((count, n, n))
-        out = omega_out[done:done + count]
-        i = 0
-        try:
-            for i in range(count):
-                l_om[i] = lo = cholesky(omega)
-                scale[i] = lam = s + lo @ gtg[i] @ lo.T
-                l_iw[i] = l = cholesky(0.5 * (lam + lam.T))
-                out[i] = omega = inverse_wishart_from_factor(a[i], l)
-        except np.linalg.LinAlgError:
-            _check_scales(scale[:i + 1])
-            raise NotPositiveDefinite("scale is not positive definite") from None
-        _check_scales(scale)
-        eta_out[done:done + count] = eta_hat + r_inv @ g @ np.swapaxes(l_om, 1, 2)
-        log_l = np.log(np.diagonal(l_iw, axis1=1, axis2=2)).sum(axis=1)
-        trace = gammas.sum(axis=1) + (lower * lower).sum(axis=1)
-        lp_out[done:done + count] = half * (np.log(gammas).sum(axis=1) - 2.0 * log_l) - 0.5 * trace
-        done += count
+        _, l = linalg.as_spd(s + l_om @ (g.T @ g) @ l_om.T, "scale")
+        a = _bartlett_factor(rng, n, t)
+        omega_out[i] = omega = inverse_wishart_from_factor(a, l)
+        log_det = 2.0 * (np.log(np.diag(l)).sum() - np.log(np.diag(a)).sum())
+        lp_out[i] = -0.5 * (t + n + 1) * log_det - 0.5 * np.sum(a * a)
     return CointChain(eta=eta_out, omega=omega_out, log_posterior=lp_out, burn_in=burn_in)
-
-
-def _check_scales(scales):
-    """The finite and symmetry checks of ``linalg.as_spd`` on a stack of
-    inverse-Wishart scales; the first failing draw decides the error."""
-    flat = scales.reshape(scales.shape[0], -1)
-    bad_finite = ~np.all(np.isfinite(flat), axis=1)
-    size = np.abs(flat).max(axis=1)
-    asym = np.abs(scales - np.swapaxes(scales, 1, 2)).reshape(flat.shape).max(axis=1)
-    bad_sym = (size > 0) & (asym > linalg.SYM_TOL * size)
-    bad = np.flatnonzero(bad_finite | bad_sym)
-    if bad.size and bad_finite[bad[0]]:
-        raise NonFiniteInput("scale contains NaN or Inf entries")
-    if bad.size:
-        raise NotPositiveDefinite("scale is not symmetric")
 
 
 def chain_log_posterior(chain, design):

@@ -37,8 +37,11 @@ def read_csv(path, columns=None, transform="none", delimiter=",", skip_index_col
         raise InputError(f"input file not found: {path}")
     if transform not in ("none", "log"):
         raise InputError(f"unknown transform {transform!r}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh, delimiter=delimiter))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one data row")

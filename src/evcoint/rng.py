@@ -10,10 +10,6 @@ use numpy's ``log``/``sqrt``/``cos``/``sin`` kernels and the gamma
 acceptance test uses ``math.log``, and ``tests/test_reproducibility.py``
 pins the streams to golden hashes.
 
-``gibbs_draws`` reads the stream ahead one block of Gibbs draws at a time
-and hands out exactly the values the scalar samplers would, so the chains
-need no per-draw sampler calls.
-
 Each sampler has a matching log-density evaluator used by the Geweke-style
 simulator checks in the test suite.
 """
@@ -41,8 +37,8 @@ class RngState:
     Distinct streams derived from one master seed are statistically
     independent; concurrent chains must each own their own stream.  Raw
     output is read ahead into a buffer of uniforms that every sampler
-    consumes in order, so scalar, array and block calls can be mixed
-    without changing the sequence.
+    consumes in order, so scalar and array calls can be mixed without
+    changing the sequence.
     """
 
     def __init__(self, seed, stream=0):
@@ -57,17 +53,14 @@ class RngState:
         """Fresh RngState on another stream of the same master seed."""
         return RngState(self.seed, stream)
 
-    def _peek(self, count):
-        """The next ``count`` uniforms of the stream, not yet consumed."""
+    def _take(self, count):
+        """The next ``count`` uniforms of the stream."""
         if self._buf.size - self._pos < count:
             raw = self._bitgen.random_raw(max(count - (self._buf.size - self._pos), _REFILL))
             fresh = ((raw >> np.uint64(11)) + 0.5) * _INV_2_53
             self._buf = np.concatenate([self._buf[self._pos:], fresh])
             self._pos = 0
-        return self._buf[self._pos:self._pos + count]
-
-    def _take(self, count):
-        u = self._peek(count)
+        u = self._buf[self._pos:self._pos + count]
         self._pos += count
         return u
 
@@ -238,104 +231,6 @@ def sample_inverse_wishart(rng, params):
     """
     _, l = as_spd(params.scale, "scale")
     return inverse_wishart_from_factor(_bartlett_factor(rng, l.shape[0], params.dof), l)
-
-
-#: Draws per block of ``gibbs_draws``; bounds the stream read ahead.
-BLOCK_DRAWS = 256
-
-
-def gibbs_draws(rng, n_draws, n_normals, shapes, scale=1.0):
-    """Yield the random inputs of ``n_draws`` Gibbs draws, block by block.
-
-    Each draw takes from the stream exactly what these scalar calls would,
-    in this order: ``rng.standard_normal(n_normals)``, then for each
-    ``i < len(shapes)`` one ``rng.gamma(shapes[i], scale)`` followed by
-    ``i`` calls of ``rng.standard_normal()`` (the Bartlett recipe of
-    ``_bartlett_factor``).  The stream is read ahead one block at a time;
-    the normals are computed with the same numpy kernels as
-    ``standard_normal`` and the gamma acceptance test is the scalar one of
-    ``gamma``, so every value is bit-identical to the scalar path.
-
-    Yields ``(normals, gammas, lower)`` of shapes ``(b, n_normals)``,
-    ``(b, len(shapes))`` and ``(b, p(p-1)/2)`` with ``b <= BLOCK_DRAWS``;
-    ``lower`` lists the normals of row 1, then row 2, and so on.
-    """
-    shapes = [float(a) for a in shapes]
-    if scale <= 0 or any(a <= 0 for a in shapes):
-        raise ValueError("gamma shape and scale must be positive")
-    m = (n_normals + 1) // 2
-    p = len(shapes)
-    # Raws one draw takes when every gamma accepts its first proposal.
-    per_draw = 2 * m + sum(3 + (a < 1.0) for a in shapes) + p * (p - 1)
-    for start in range(0, n_draws, BLOCK_DRAWS):
-        count = min(BLOCK_DRAWS, n_draws - start)
-        need = count * per_draw + 64
-        while True:
-            try:
-                block, used = _walk_block(rng._peek(need), count, n_normals, shapes, scale)
-                break
-            except IndexError:  # rejections ran past the read-ahead
-                need *= 2
-        rng._pos += used
-        yield block
-
-
-def _walk_block(u, count, n_normals, shapes, scale):
-    """One block of ``gibbs_draws`` from the uniforms ``u``; returns the
-    block and the number of uniforms it consumed."""
-    r = np.sqrt(-2.0 * np.log(u))
-    a = _TWO_PI * u
-    cos, sin = np.cos(a), np.sin(a, out=a)
-    r_at, cos_at, uniform = r.item, cos.item, u.item
-    m = (n_normals + 1) // 2
-    p = len(shapes)
-    params = []
-    for shape in shapes:
-        boost = 1.0 / shape if shape < 1.0 else None
-        d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
-        params.append((d, 1.0 / math.sqrt(9.0 * d), boost))
-    log = math.log
-    starts, gammas, lower = [], [], []
-    pos = 0
-    for _ in range(count):
-        starts.append(pos)
-        pos += 2 * m
-        for j, (d, c, boost) in enumerate(params):
-            if boost:
-                b = uniform(pos)
-                pos += 1
-            while True:
-                x = r_at(pos) * cos_at(pos + 1)     # standard_normal()
-                pos += 2
-                v = 1.0 + c * x
-                if v <= 0.0:
-                    continue
-                v = v * v * v
-                w = uniform(pos)
-                pos += 1
-                if log(w) < 0.5 * x * x + d - d * v + d * log(v):
-                    g = d * v * scale
-                    break
-            gammas.append(g * b ** boost if boost else g)
-            lower.extend(range(pos, pos + 2 * j, 2))
-            pos += 2 * j
-    idx = np.array(starts)[:, None] + np.arange(m)
-    rr, half = r[idx], idx + m
-    normals = np.concatenate([rr * cos[half], rr * sin[half]], axis=1)[:, :n_normals]
-    lower = np.array(lower, dtype=np.intp).reshape(count, p * (p - 1) // 2)
-    return (normals, np.array(gammas).reshape(count, p), r[lower] * cos[lower + 1]), pos
-
-
-def bartlett_factors(gammas, lower):
-    """Stacked Bartlett factors from a ``gibbs_draws`` block drawn with the
-    Wishart shapes ``(dof - i)/2`` and scale 2."""
-    count, p = gammas.shape
-    a = np.zeros((count, p, p))
-    i = np.arange(p)
-    a[:, i, i] = np.sqrt(gammas)
-    rows, cols = np.tril_indices(p, -1)
-    a[:, rows, cols] = lower
-    return a
 
 
 def _multivariate_lgamma(a, p):

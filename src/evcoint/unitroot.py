@@ -21,7 +21,6 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateRss, NonFiniteInput, SeriesTooShort
 from .fbst import DEFAULT_BURN_IN, DEFAULT_N_DRAWS, EvidenceResult, estimate_evidence
-from .rng import gibbs_draws
 
 #: Smallest usable sample: below p + MIN_EXTRA observations the inverse-gamma
 #: conditional is nearly improper and the test is meaningless.
@@ -167,13 +166,11 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     (psi, sigma), in agreement with small-sample grid quadrature of it.
 
     Every draw is emitted; the burn-in count is carried on the result so
-    downstream estimation can discard it.  The normals and gammas come a
-    block at a time from ``gibbs_draws``; only the scalar sigma recursion
-    runs per draw, and psi is stacked over the block.
+    downstream estimation can discard it.
 
-    The log posterior of each draw is read off its variates: psi_i - psi_hat
-    = sigma_{i-1} R^-1 z_i gives RSS(psi_i) = rss_hat + sigma_{i-1}^2 |z_i|^2
-    = 2 h_i, and sigma_i^2 = h_i / g_i, so RSS(psi_i) / (2 sigma_i^2) = g_i.
+    The log posterior of each draw is read off its variates: psi - psi_hat
+    = sigma R^-1 z gives RSS(psi) = rss_hat + sigma^2 |z|^2 = 2 h, and the
+    next sigma^2 = h / g, so RSS(psi) / (2 sigma^2) = g.
     """
     fit = design.fit
     psi_hat = fit.coef.ravel()
@@ -181,28 +178,19 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     t = design.effective_t
     k = psi_hat.size
     r_inv = np.linalg.inv(fit.r)      # (X'X)^-1 = R^-1 R^-T
-    shape = 0.5 * t
     sigma = math.sqrt(max(rss_hat, 1e-300) / (t + 1))
     psi_out = np.empty((n_draws, k))
     sigma_out = np.empty(n_draws)
-    lp_out = np.empty(n_draws)
-    done = 0
-    for z, gammas, _ in gibbs_draws(rng, n_draws, k, [shape]):
-        count = z.shape[0]
-        zz = (z[:, None, :] @ z[:, :, None]).ravel()     # |z|^2 per draw
-        start = sigma
-        sigmas = []
-        for q, g in zip(zz.tolist(), gammas[:, 0].tolist()):
-            # (psi - psi_hat)' X'X (psi - psi_hat) = sigma^2 |z|^2 by construction.
-            h = 0.5 * (rss_hat + sigma * sigma * q)
-            sigma = math.sqrt(h / g)
-            sigmas.append(sigma)
-        sigma_out[done:done + count] = sigmas
-        prior = np.concatenate([[start], sigma_out[done:done + count - 1]])
-        psi_out[done:done + count] = psi_hat + prior[:, None] * (r_inv @ z[:, :, None])[:, :, 0]
-        lp_out[done:done + count] = -(t + 1) * np.log(sigma_out[done:done + count]) - gammas[:, 0]
-        done += count
-    return UnitRootChain(psi=psi_out, sigma=sigma_out, log_posterior=lp_out, burn_in=burn_in)
+    g_out = np.empty(n_draws)
+    for i in range(n_draws):
+        z = rng.standard_normal(k)
+        psi_out[i] = psi_hat + sigma * (r_inv @ z)
+        # (psi - psi_hat)' X'X (psi - psi_hat) = sigma^2 |z|^2 by construction.
+        h = 0.5 * (rss_hat + sigma * sigma * float(z @ z))
+        g_out[i] = g = rng.gamma(0.5 * t)
+        sigma_out[i] = sigma = math.sqrt(h / g)
+    lp = -(t + 1) * np.log(sigma_out) - g_out
+    return UnitRootChain(psi=psi_out, sigma=sigma_out, log_posterior=lp, burn_in=burn_in)
 
 
 def chain_log_posterior(chain, design):

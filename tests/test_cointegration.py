@@ -266,16 +266,6 @@ class TestChain:
         with pytest.raises(NotPositiveDefinite):
             co.gibbs_chain(tiny_vecm_design, RngState(4), n_draws=10)
 
-    def test_scale_checks_report_first_failing_draw(self):
-        ok = np.eye(2)
-        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
-        nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
-        co._check_scales(np.stack([ok, ok]))
-        with pytest.raises(NotPositiveDefinite):
-            co._check_scales(np.stack([ok, asym, nan]))
-        with pytest.raises(NonFiniteInput):
-            co._check_scales(np.stack([ok, nan, asym]))
-
     def test_geweke_marginal_vs_successive(self, tiny_vecm_design):
         """The posterior factorizes exactly: Omega ~ IW(S, T - k) marginally
         and eta | Omega is matrix normal around the OLS point.  An i.i.d.

@@ -232,6 +232,18 @@ class TestCliUnitroot:
         code, _, err = run_cli(["unitroot", str(bad)] + self.ARGS, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("make_input", [
+        lambda tmp: tmp,
+        lambda tmp: tmp / "latin1.csv",
+        lambda tmp: tmp / "long_cell.csv",
+    ], ids=["directory", "not-utf8", "cell-over-field-limit"])
+    def test_exit_2_on_unreadable_input(self, tmp_path, capsys, make_input):
+        (tmp_path / "latin1.csv").write_bytes("y\n1\n\xe9\n".encode("latin-1"))
+        (tmp_path / "long_cell.csv").write_text("y\n1\n" + "1" * 200_000 + "\n")
+        path = str(make_input(tmp_path))
+        code, out, err = run_cli(["unitroot", path] + self.ARGS, capsys)
+        assert code == 2 and "input error" in err and path in err and out == ""
+
     def test_exit_3_on_numeric_failure(self, tmp_path, capsys):
         # A perfect linear trend makes the restricted regression degenerate.
         path = write_csv(tmp_path / "line.csv", ["y"], [[float(i)] for i in range(30)])
@@ -284,10 +296,11 @@ class TestCliCoint:
         (["--stream", "-1"], None),
         ([], "-5"),
         (["--output", "{tmp}/missing/report.json"], None),
+        (["--output", "{tmp}"], None),
     ], ids=["p0", "dummies-ge-period", "policy-bogus", "bridge-p2", "bridge-p-tiny",
             "env-seed-abc",
             "delimiter-empty", "delimiter-two-chars", "seed-negative", "stream-negative",
-            "env-seed-negative", "output-dir-missing"])
+            "env-seed-negative", "output-dir-missing", "output-is-directory"])
     def test_exit_4_on_config_error(self, pair_csv, tmp_path, capsys, monkeypatch, args,
                                     env_seed):
         def no_sampling(*_, **__):

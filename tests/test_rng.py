@@ -5,14 +5,10 @@ import pytest
 
 from evcoint.errors import DimensionMismatch
 from evcoint.rng import (
-    BLOCK_DRAWS,
     InverseGammaParams,
     InverseWishartParams,
     MatrixNormalParams,
     RngState,
-    _bartlett_factor,
-    bartlett_factors,
-    gibbs_draws,
     log_inverse_gamma_pdf,
     log_inverse_wishart_pdf,
     log_matrix_normal_pdf,
@@ -253,51 +249,3 @@ class TestInverseWishart:
         at_mode = log_inverse_wishart_pdf(mode, params)
         for scale in (0.8, 1.2):
             assert log_inverse_wishart_pdf(mode * scale, params) < at_mode
-
-
-class TestGibbsDraws:
-    """The block sampler hands out exactly the scalar samplers' draws."""
-
-    @staticmethod
-    def scalar_draws(rng, n_draws, n_normals, shapes, scale):
-        normals, gammas, lower = [], [], []
-        for _ in range(n_draws):
-            normals.append(np.atleast_1d(rng.standard_normal(n_normals)))
-            for i, shape in enumerate(shapes):
-                gammas.append(rng.gamma(shape, scale))
-                lower.extend(rng.standard_normal() for _ in range(i))
-        return np.array(normals), np.array(gammas), np.array(lower)
-
-    @pytest.mark.parametrize("n_normals, shapes, scale", [
-        (6, [40.0], 1.0),
-        (21, [30.0, 29.5, 29.0], 2.0),
-        (1, [1.0, 1.0, 1.0, 1.0], 1.0),    # frequent rejections
-        (4, [0.4, 2.5], 2.0),              # boosted small shape
-        (0, [3.0, 2.5], 2.0),
-    ])
-    def test_bit_identical_to_scalar_calls(self, n_normals, shapes, scale):
-        n_draws = BLOCK_DRAWS + 37
-        block_rng, scalar_rng = RngState(77, 1), RngState(77, 1)
-        blocks = list(gibbs_draws(block_rng, n_draws, n_normals, shapes, scale))
-        assert [b[0].shape[0] for b in blocks] == [BLOCK_DRAWS, 37]
-        normals, gammas, lower = (np.concatenate(parts) for parts in zip(*blocks))
-        want = self.scalar_draws(scalar_rng, n_draws, n_normals, shapes, scale)
-        assert np.array_equal(normals.ravel(), want[0].ravel())
-        assert np.array_equal(gammas.ravel(), want[1])
-        assert np.array_equal(lower.ravel(), want[2])
-        # The stream continues where the scalar calls left it.
-        assert block_rng.uniform() == scalar_rng.uniform()
-
-    def test_bartlett_factors_match_scalar_helper(self):
-        dof, p = 12.0, 3
-        block_rng, scalar_rng = RngState(5), RngState(5)
-        _, gammas, lower = next(gibbs_draws(block_rng, 50, 0, [0.5 * (dof - i) for i in range(p)],
-                                            2.0))
-        want = np.stack([_bartlett_factor(scalar_rng, p, dof) for _ in range(50)])
-        assert np.array_equal(bartlett_factors(gammas, lower), want)
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            next(gibbs_draws(RngState(0), 10, 2, [0.0]))
-        with pytest.raises(ValueError):
-            next(gibbs_draws(RngState(0), 10, 2, [2.0], scale=-1.0))
