@@ -1,18 +1,19 @@
 """Command-line surface: ``evcoint unitroot`` and ``evcoint coint``.
 
 Flags mirror ``RunConfig`` one-to-one.  Exit codes: 0 success, 2 input
-error, 3 numeric failure, 4 configuration error.
+error, 3 numeric failure, 4 configuration error, usage errors included.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+import time
 
 from . import cointegration, io, unitroot
 from .errors import ConfigError, InputError, NumericError
 from .fbst import CONVENTIONS, DEFAULT_BURN_IN, DEFAULT_N_DRAWS
-from .report import RunConfig, Stopwatch, rank_report, render, unitroot_report
+from .report import RunConfig, rank_report, render, unitroot_report
 from .rng import RngState
 
 SEED_ENV_VAR = "EVCOINT_SEED"
@@ -29,40 +30,38 @@ def run(config):
         skip_index_column=config.skip_index_column,
     )
     rng = RngState(config.seed, config.stream)
-    with Stopwatch() as watch:
-        if config.engine == "unitroot":
-            if data.n_series != 1:
-                raise ConfigError(
-                    f"unit-root engine needs exactly one column, got {data.n_series}"
-                )
-            spec = _spec(
-                unitroot.UnitRootSpec,
-                p=config.p,
-                include_trend=config.include_trend,
-                include_intercept=config.include_intercept,
-            )
-            result = unitroot.test_unit_root(
-                data.values[:, 0], spec, rng,
-                n_draws=config.n_draws, burn_in=config.burn_in,
-            )
-            return unitroot_report(config, result, watch.elapsed)
+    start = time.perf_counter()
+    if config.engine == "unitroot":
+        if data.n_series != 1:
+            raise ConfigError(f"unit-root engine needs exactly one column, got {data.n_series}")
         spec = _spec(
-            cointegration.VecmSpec,
-            n=data.n_series,
+            unitroot.UnitRootSpec,
             p=config.p,
-            include_constant=config.include_constant,
-            n_seasonal_dummies=config.n_seasonal_dummies,
-            dummy_period=config.dummy_period,
-            centered_dummies=config.centered_dummies,
+            include_trend=config.include_trend,
+            include_intercept=config.include_intercept,
         )
-        result = cointegration.test_rank(
-            data.values, spec, rng,
+        result = unitroot.test_unit_root(
+            data.values[:, 0], spec, rng,
             n_draws=config.n_draws, burn_in=config.burn_in,
-            threshold_policy=config.threshold_policy,
-            dimension_convention=config.dimension_convention,
-            start_period_index=config.start_period_index,
         )
-        return rank_report(config, result, watch.elapsed)
+        return unitroot_report(config, result, time.perf_counter() - start)
+    spec = _spec(
+        cointegration.VecmSpec,
+        n=data.n_series,
+        p=config.p,
+        include_constant=config.include_constant,
+        n_seasonal_dummies=config.n_seasonal_dummies,
+        dummy_period=config.dummy_period,
+        centered_dummies=config.centered_dummies,
+    )
+    result = cointegration.test_rank(
+        data.values, spec, rng,
+        n_draws=config.n_draws, burn_in=config.burn_in,
+        threshold_policy=config.threshold_policy,
+        dimension_convention=config.dimension_convention,
+        start_period_index=config.start_period_index,
+    )
+    return rank_report(config, result, time.perf_counter() - start)
 
 
 def _spec(cls, **fields):
@@ -102,8 +101,17 @@ def _add_common(parser):
                         help="also write the report to this file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (unknown flag, bad choice, non-integer count) is a
+    configuration error: it exits 4 through ``main``, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evcoint",
         description="FBST e-values for unit-root and cointegration-rank hypotheses",
     )
@@ -170,8 +178,8 @@ def config_from_args(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = config_from_args(args)
         # The report file is written after the run; fail before it if it cannot be.
         if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):

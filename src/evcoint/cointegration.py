@@ -2,11 +2,10 @@
 
 Pipeline: stack the VECM regression, concentrate out the short-run
 dynamics (two auxiliary regressions and a canonical-correlation
-eigenproblem) to get the rank-constrained posterior maxima, draw one shared
-stream of independent posterior draws of (eta, Omega), and count
-tangent-set membership per rank.  The maximum-eigenvalue statistics come
-from the same eigenvalue spectrum.  The paper's matrix-normal /
-inverse-Wishart Gibbs chain stays as the reference sampler.
+eigenproblem), draw one shared stream of independent posterior draws and
+count, per rank r, the draws above the constrained maximum, which the trace
+statistic T q_r, q_r = -sum_{i>r} ln(1 - lambda_i), fixes.  The paper's
+matrix-normal / inverse-Wishart Gibbs chain stays as the reference sampler.
 """
 from __future__ import annotations
 
@@ -33,10 +32,6 @@ from .rng import (
 )
 
 MIN_EXTRA = 10
-
-#: Tolerance used when clipping log-posterior comparisons against the
-#: rank-n maximum, which no draw may exceed beyond numerical noise.
-CLIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -260,23 +255,33 @@ def chain_log_posterior(chain, design):
 
 
 def direct_draws(design, rng, n_draws=DEFAULT_N_DRAWS):
-    """Log posterior at independent draws from the exact posterior.
+    """Log posterior less its maximum (the base) at independent draws from
+    the exact posterior: a function of T, n, k and the seed only.
 
     Omega's marginal is IW(S, T-k).  With S = L L' and Bartlett factor A,
     Omega^-1 = L^-T A A' L^-1, where A_ii^2 = c_i ~ chi2_{T-k-i} and the
     n(n-1)/2 entries below the diagonal are standard normal; given Omega
     the mean term tr(Omega^-1 (eta - eta_hat)' Z'Z (eta - eta_hat)) is
     chi2_{kn}.  So ln|Omega| = ln|S| - sum ln c_i, and the quadratic terms
-    add up to q ~ chi2_{kn + n(n-1)/2}: the kernel of ``log_posterior`` is
-    -((T+n+1)/2)(ln|S| - sum ln c_i) - (sum c_i + q)/2.
+    add up to q ~ chi2_{kn + n(n-1)/2}.  With a = (T+n+1)/2 the kernel of
+    ``log_posterior`` is -a (ln|S| - sum ln c_i) - (sum c_i + q)/2, at most
+    -a (ln|S| - n ln(2a) + n), so ln|S| cancels from the base.
     """
     t, n = design.effective_t, design.spec.n
     k = design.z.shape[1]
     c = np.column_stack([rng.gamma_array(0.5 * (t - k - i), n_draws, scale=2.0)
                          for i in range(n)])
     q = rng.gamma_array(0.5 * (k * n + n * (n - 1) // 2), n_draws, scale=2.0)
-    log_det = linalg.log_det_spd(design.fit.rss)
-    return -0.5 * (t + n + 1) * (log_det - np.log(c).sum(axis=1)) - 0.5 * (c.sum(axis=1) + q)
+    a = 0.5 * (t + n + 1)
+    return a * (np.log(c).sum(axis=1) - n * (math.log(t + n + 1) - 1.0)) \
+        - 0.5 * (c.sum(axis=1) + q)
+
+
+def trace_gaps(eigenvalues):
+    """q_r = -sum_{i>r} ln(1 - lambda_i) for r = 0..n; T q_r is Johansen's
+    trace statistic and q_n = 0."""
+    logs = -np.log1p(-np.asarray(eigenvalues, dtype=float))
+    return np.append(np.cumsum(logs[::-1])[::-1], 0.0)
 
 
 def max_eig_statistic(eigenvalues, t, rank):
@@ -293,6 +298,7 @@ class RankHypothesis:
     log_s_star: float
     evidence: EvidenceResult
     max_eig_stat: float | None
+    trace_stat: float | None
     threshold: float | None
     rejected: bool
 
@@ -353,7 +359,8 @@ def test_rank(
 
     The full posterior is the same for every rank hypothesis (only the
     constrained maximum changes), so a single stream yields exactly nested
-    tangent-set counts and non-decreasing e-values.  Starting from r = 0,
+    tangent-set counts and non-decreasing e-values.  Rank r counts the bases
+    above -((T+n+1)/2) q_r; no base exceeds q_n = 0.  Starting from r = 0,
     hypotheses are rejected while the e-value stays below the policy
     threshold; the selected rank is the first survivor.
     """
@@ -374,24 +381,24 @@ def test_rank(
 
     thresholds = [_threshold_for(threshold_policy, dimension_convention, n, k, r)
                   for r in range(n)] + [None]
-    lp = direct_draws(design, rng, n_draws=n_draws)
-    clip = CLIP_TOL * max(1.0, abs(stars[n]))
+    gaps = trace_gaps(conc.eigenvalues)
+    base = direct_draws(design, rng, n_draws=n_draws)
     hypotheses = []
     selected = n
     rejecting = True
     for r, threshold in enumerate(thresholds):
-        ev = estimate_evidence(stars[r] + clip, lp, burn_in=burn_in)
+        ev = estimate_evidence(-0.5 * (t + n + 1) * gaps[r], base, burn_in=burn_in)
         rejected = rejecting and threshold is not None and ev.ev < threshold
         if rejecting and not rejected:
             selected = r
             rejecting = False
-        stat = max_eig_statistic(conc.eigenvalues, t, r) if r < n else None
         hypotheses.append(
             RankHypothesis(
                 rank=r,
                 log_s_star=stars[r],
                 evidence=ev,
-                max_eig_stat=stat,
+                max_eig_stat=max_eig_statistic(conc.eigenvalues, t, r) if r < n else None,
+                trace_stat=float(t * gaps[r]) if r < n else None,
                 threshold=threshold,
                 rejected=rejected,
             )

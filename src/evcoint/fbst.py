@@ -1,9 +1,9 @@
 """Hypothesis-agnostic evidence machinery.
 
-Given the constrained log-maximum and the log posterior evaluated at a
-stream of posterior draws, estimate the e-value supporting the hypothesis
-and its Monte Carlo error.  Also provides the asymptotic bridge between
-likelihood-ratio p-values and e-values.
+Given the log posterior at a stream of draws and the constrained maximum,
+both less the unconstrained maximum in the engines, estimate the e-value
+supporting the hypothesis and its Monte Carlo error.  Also provides the
+asymptotic bridge between likelihood-ratio p-values and e-values.
 """
 from __future__ import annotations
 
@@ -23,31 +23,29 @@ DEFAULT_BURN_IN = 1_000
 class EvidenceResult:
     ev: float
     ev_bar: float
-    log_s_star: float
     n_draws: int
     burn_in: int
     mc_se: float
     mc_se_batch: float | None = None
 
 
-def estimate_evidence(log_s_star, log_posterior_at_draws, burn_in=0, n_batches=20):
-    """e-value from the share of post-burn-in draws above the constrained maximum.
+def estimate_evidence(threshold, values, burn_in=0, n_batches=20):
+    """e-value from the share of post-burn-in draws above the threshold.
 
-    A draw lies in the tangent set only when its log posterior strictly
-    exceeds ``log_s_star``; ties count against the tangent set.  ``mc_se``
-    is the binomial standard error; ``mc_se_batch`` the batch-means
-    alternative that does not ignore chain autocorrelation.
+    A draw lies in the tangent set only when its value (log posterior, in
+    the threshold's scale) strictly exceeds ``threshold``, the constrained
+    maximum; ties count against the tangent set.  ``mc_se`` is the binomial
+    standard error; ``mc_se_batch`` the batch-means alternative that does
+    not ignore chain autocorrelation.
     """
-    lp = np.asarray(log_posterior_at_draws, dtype=float)
-    if lp.ndim != 1:
-        lp = lp.ravel()
+    lp = np.asarray(values, dtype=float).ravel()
     if lp.size <= burn_in:
         raise EmptyStream(f"stream of {lp.size} draws with burn-in {burn_in}")
     bad = np.flatnonzero(~np.isfinite(lp))
     if bad.size:
         raise NonFiniteLogPosterior(int(bad[0]))
     kept = lp[burn_in:]
-    inside = kept > log_s_star
+    inside = kept > threshold
     n = kept.size
     ev_bar = float(np.count_nonzero(inside)) / n
     ev = 1.0 - ev_bar
@@ -60,7 +58,6 @@ def estimate_evidence(log_s_star, log_posterior_at_draws, burn_in=0, n_batches=2
     return EvidenceResult(
         ev=ev,
         ev_bar=ev_bar,
-        log_s_star=float(log_s_star),
         n_draws=n,
         burn_in=int(burn_in),
         mc_se=mc_se,

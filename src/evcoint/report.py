@@ -8,8 +8,7 @@ double precision).
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .cointegration import parse_threshold_policy
@@ -18,7 +17,11 @@ from .fbst import CONVENTIONS, DEFAULT_BURN_IN, DEFAULT_N_DRAWS
 
 #: Report schema.  evcoint/2: the e-values and P(g0 >= 0) come from
 #: independent draws of the exact posterior instead of a Gibbs chain.
-SCHEMA = "evcoint/2"
+#: evcoint/3: each draw is compared with a threshold computed from the
+#: ADF t-ratio or the trace statistic (no margin); the unit-root row carries
+#: ``log_s_star`` and its separate ``evidence`` block is gone; rank rows
+#: carry ``trace_stat``.
+SCHEMA = "evcoint/3"
 
 
 @dataclass
@@ -70,76 +73,54 @@ class RunConfig:
         return self
 
 
-def _evidence_dict(ev):
-    d = {
-        "ev": ev.ev,
-        "ev_bar": ev.ev_bar,
-        "log_s_star": ev.log_s_star,
-        "n_draws": ev.n_draws,
-        "burn_in": ev.burn_in,
-        "mc_se": ev.mc_se,
+def _row(hypothesis, evidence, log_s_star, **statistics):
+    """One report row: the e-value, its error, the constrained maximum and
+    the classical statistics of one hypothesis."""
+    return {
+        "hypothesis": hypothesis,
+        "ev": evidence.ev,
+        "ev_bar": evidence.ev_bar,
+        "mc_se": evidence.mc_se,
+        "log_s_star": log_s_star,
+        **statistics,
     }
-    if ev.mc_se_batch is not None:
-        d["mc_se_batch"] = ev.mc_se_batch
-    return d
+
+
+def _report(engine, config, rows, wall_clock_s, **fields):
+    return {
+        "schema": SCHEMA,
+        "version": __version__,
+        "engine": engine,
+        "config": asdict(config),
+        "rows": rows,
+        **fields,
+        "wall_clock_s": wall_clock_s,
+    }
 
 
 def unitroot_report(config, result, wall_clock_s):
-    row = {
-        "hypothesis": "gamma0 = 0 (unit root)",
-        "ev": result.evidence.ev,
-        "ev_bar": result.evidence.ev_bar,
-        "mc_se": result.evidence.mc_se,
-        "p_nonstationary": result.p_nonstationary,
-        "adf_stat": result.adf_stat,
-    }
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "engine": "unitroot",
-        "config": asdict(config),
-        "rows": [row],
-        "evidence": _evidence_dict(result.evidence),
-        "wall_clock_s": wall_clock_s,
-    }
+    row = _row("gamma0 = 0 (unit root)", result.evidence, result.log_s_star,
+               p_nonstationary=result.p_nonstationary, adf_stat=result.adf_stat)
+    return _report("unitroot", config, [row], wall_clock_s)
 
 
 def rank_report(config, report, wall_clock_s):
-    rows = []
-    for h in report.hypotheses:
-        rows.append(
-            {
-                "hypothesis": f"rank = {h.rank}",
-                "ev": h.evidence.ev,
-                "ev_bar": h.evidence.ev_bar,
-                "mc_se": h.evidence.mc_se,
-                "log_s_star": h.log_s_star,
-                "max_eig_stat": h.max_eig_stat,
-                "threshold": h.threshold,
-                "rejected": h.rejected,
-            }
-        )
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "engine": "coint",
-        "config": asdict(config),
-        "rows": rows,
-        "eigenvalues": list(report.eigenvalues),
-        "selected_rank": report.selected_rank,
-        "threshold_policy": report.threshold_policy,
-        "dimension_convention": report.dimension_convention,
-        "dummy_coding": report.dummy_coding,
-        "wall_clock_s": wall_clock_s,
-    }
+    rows = [_row(f"rank = {h.rank}", h.evidence, h.log_s_star,
+                 max_eig_stat=h.max_eig_stat, trace_stat=h.trace_stat,
+                 threshold=h.threshold, rejected=h.rejected)
+            for h in report.hypotheses]
+    return _report(
+        "coint", config, rows, wall_clock_s,
+        eigenvalues=list(report.eigenvalues),
+        selected_rank=report.selected_rank,
+        threshold_policy=report.threshold_policy,
+        dimension_convention=report.dimension_convention,
+        dummy_coding=report.dummy_coding,
+    )
 
 
 def _sig6(x):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    return f"{x:.6g}"
+    return f"{x:.6g}" if isinstance(x, float) else str(x)
 
 
 def render(report, output_format):
@@ -157,18 +138,3 @@ def render(report, output_format):
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown output format {output_format!r}")
 
-
-class Stopwatch:
-    def __enter__(self):
-        self._start = time.perf_counter()
-        self._stop = None
-        return self
-
-    def __exit__(self, *exc):
-        self._stop = time.perf_counter()
-        return False
-
-    @property
-    def elapsed(self):
-        end = self._stop if self._stop is not None else time.perf_counter()
-        return end - self._start

@@ -5,9 +5,9 @@ The model is the differenced autoregression
     dy_t = mu + delta*t + g0*y_{t-1} + g1*dy_{t-1} + ... + g_{p-1}*dy_{t-p+1} + e_t
 
 with the sharp hypothesis g0 = 0.  The posterior under the 1/sigma prior is
-normal-inverse-gamma around the OLS point; the hypothesis-constrained
-maximum comes from the restricted regression, and the e-value from
-independent draws of that posterior.  The paper's Gibbs chain over
+normal-inverse-gamma around the OLS point.  The e-value counts independent
+posterior draws above the constrained maximum, which the ADF t-ratio fixes
+(RSS_r/RSS = 1 + t^2/(T-k)).  The paper's Gibbs chain over
 (psi, sigma) stays as the reference sampler.
 """
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .fbst import DEFAULT_BURN_IN, DEFAULT_N_DRAWS, EvidenceResult, estimate_evi
 #: conditional is nearly improper and the test is meaningless.
 MIN_EXTRA = 10
 
-#: Restricted residual sum of squares below this (relative) scale means the
-#: restricted model fits perfectly and no meaningful test exists.
+#: A residual sum of squares below this (relative) scale means the model
+#: fits perfectly and no meaningful test exists.
 DEGENERATE_RSS_TOL = 1e-12
 
 
@@ -127,23 +127,28 @@ def log_posterior(draw, design):
     return -(t + 1) * math.log(draw.sigma) - rss / (2.0 * draw.sigma ** 2)
 
 
+def _check_rss(rss, design):
+    scale = float(design.delta_y.ravel() @ design.delta_y.ravel())
+    if rss < DEGENERATE_RSS_TOL * max(scale, 1.0):
+        raise DegenerateRss("the regression fits the series perfectly")
+
+
 def restricted_map(design):
-    """Constrained posterior maximum under g0 = 0.
+    """Constrained posterior maximum under g0 = 0 from the restricted
+    regression: the reference for ``tangent_threshold``.
 
     Returns ``(psi_r, sigma_r, log_s_star)`` with ``psi_r`` already embedded
     in the full coordinate system (zero in the lagged-level slot) and
     ``log_s_star`` evaluated with the same constant convention as
     ``log_posterior``.
     """
-    scale = float(design.delta_y.ravel() @ design.delta_y.ravel())
     if design.x_restricted.shape[1]:
         fit = linalg.ols_solve(design.x_restricted, design.delta_y)
         coef, rss_r = fit.coef.ravel(), float(fit.rss[0, 0])
     else:
         # p = 1 without deterministic terms: the restricted model has no regressor.
-        coef, rss_r = np.empty(0), scale
-    if rss_r < DEGENERATE_RSS_TOL * max(scale, 1.0):
-        raise DegenerateRss("restricted regression fits the series perfectly")
+        coef, rss_r = np.empty(0), float(design.delta_y.ravel() @ design.delta_y.ravel())
+    _check_rss(rss_r, design)
     t = design.effective_t
     sigma_r = math.sqrt(rss_r / (t + 1))
     psi_full = np.insert(coef, design.gamma0_index, 0.0)
@@ -200,27 +205,29 @@ def chain_log_posterior(chain, design):
 
 def direct_draws(design, rng, n_draws=DEFAULT_N_DRAWS):
     """Independent draws from the exact posterior, reduced to what a run
-    needs: ``(log_posterior, g0)``, one value of each per draw.
+    needs: ``(base, g0)``, one value of each per draw.
 
     u = RSS/(2 sigma^2) ~ Gamma((T-k)/2) is sigma's marginal, and given
     sigma, psi = psi_hat + sigma R^-1 z with z ~ N(0, I_k).  Then
-    RSS(psi)/(2 sigma^2) = u + |z|^2/2, so the kernel of ``log_posterior``
-    is -(T+1) ln sigma - u - |z|^2/2.
+    RSS(psi)/(2 sigma^2) = u + |z|^2/2, and the base, the log posterior
+    less its maximum, is ((T+1)/2)(ln(2u/(T+1)) + 1) - u - |z|^2/2.
     """
-    fit = design.fit
     t, k = design.x_full.shape
     u = rng.gamma_array(0.5 * (t - k), n_draws)
     z = rng.standard_normal((n_draws, k))
+    half = 0.5 * (t + 1)
+    base = half * (np.log(u / half) + 1.0) - u - 0.5 * np.einsum("ij,ij->i", z, z)
+    fit = design.fit
     sigma = np.sqrt(float(fit.rss[0, 0]) / (2.0 * u))
-    lp = -(t + 1) * np.log(sigma) - u - 0.5 * np.einsum("ij,ij->i", z, z)
     g = design.gamma0_index
     g0 = fit.coef[g, 0] + sigma * (z @ np.linalg.inv(fit.r)[g])
-    return lp, g0
+    return base, g0
 
 
 @dataclass(frozen=True)
 class UnitRootResult:
     evidence: EvidenceResult
+    log_s_star: float
     p_nonstationary: float
     adf_stat: float
     psi_hat: np.ndarray
@@ -229,9 +236,11 @@ class UnitRootResult:
 
 
 def adf_statistic(design):
-    """Classical t-ratio of the lagged-level coefficient, s^2 = RSS/(T - k)."""
+    """Classical t-ratio of the lagged-level coefficient, s^2 = RSS/(T - k).
+    A perfect fit, hence also a perfect restricted one, is ``DegenerateRss``."""
     fit = design.fit
     t, k = design.x_full.shape
+    _check_rss(float(fit.rss[0, 0]), design)
     s2 = float(fit.rss[0, 0]) / (t - k)
     r_inv = np.linalg.inv(fit.r)
     cov = s2 * (r_inv @ r_inv.T)
@@ -239,18 +248,28 @@ def adf_statistic(design):
     return float(fit.coef.ravel()[g] / math.sqrt(cov[g, g]))
 
 
+def tangent_threshold(adf_stat, t, k):
+    """The constrained maximum relative to the unconstrained one,
+    -((T+1)/2) ln(RSS_r/RSS), where RSS_r/RSS = 1 + t^2/(T-k)."""
+    return -0.5 * (t + 1) * math.log1p(adf_stat * adf_stat / (t - k))
+
+
 def test_unit_root(series, spec, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
-    """Full unit-root run: e-value, posterior P(g0 >= 0) and the ADF t-ratio."""
+    """Full unit-root run: e-value, posterior P(g0 >= 0) and the ADF t-ratio.
+    The e-value is a function of t_ADF^2 and (T, k)."""
     design = build_design(series, spec)
-    _, _, log_s_star = restricted_map(design)
-    lp, g0 = direct_draws(design, rng, n_draws=n_draws)
-    evidence = estimate_evidence(log_s_star, lp, burn_in=burn_in)
+    adf_stat = adf_statistic(design)
+    t, k = design.x_full.shape
+    threshold = tangent_threshold(adf_stat, t, k)
+    base, g0 = direct_draws(design, rng, n_draws=n_draws)
+    evidence = estimate_evidence(threshold, base, burn_in=burn_in)
     p_nonstationary = float(np.mean(g0[burn_in:] >= 0.0))
-    sigma_map = math.sqrt(float(design.fit.rss[0, 0]) / (design.effective_t + 1))
+    sigma_map = math.sqrt(float(design.fit.rss[0, 0]) / (t + 1))
     return UnitRootResult(
         evidence=evidence,
+        log_s_star=-(t + 1) * math.log(sigma_map) - 0.5 * (t + 1) + threshold,
         p_nonstationary=p_nonstationary,
-        adf_stat=adf_statistic(design),
+        adf_stat=adf_stat,
         psi_hat=design.fit.coef.ravel(),
         sigma_map=sigma_map,
         design=design,

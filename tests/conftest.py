@@ -29,6 +29,18 @@ def cointegrated_pair(seed=3, n=500):
     return np.column_stack([y1, y2])
 
 
+def weakly_cointegrated(seed, n, phi):
+    """Four random walks of which the first two differ by an AR(1) with
+    coefficient ``phi``."""
+    g = np.random.default_rng(seed)
+    w = np.cumsum(g.normal(size=(n, 4)), axis=0)
+    e = np.zeros(n)
+    for t in range(1, n):
+        e[t] = phi * e[t - 1] + g.normal()
+    w[:, 1] = w[:, 0] + e
+    return w
+
+
 @pytest.fixture
 def small_unitroot_design():
     return ur.build_design(ar1_series(), ur.UnitRootSpec(p=1))

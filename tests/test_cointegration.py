@@ -1,9 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import cointegrated_pair, random_walks
+from conftest import cointegrated_pair, random_walks, weakly_cointegrated
 from evcoint import cointegration as co
 from evcoint import linalg
 from evcoint.errors import NonFiniteInput, NotPositiveDefinite, SeriesTooShort
@@ -15,18 +16,6 @@ from evcoint.rng import (
     sample_inverse_wishart,
     sample_matrix_normal,
 )
-
-
-def weakly_cointegrated(seed, n, phi):
-    """Four random walks of which the first two differ by an AR(1) with
-    coefficient ``phi``."""
-    g = np.random.default_rng(seed)
-    w = np.cumsum(g.normal(size=(n, 4)), axis=0)
-    e = np.zeros(n)
-    for t in range(1, n):
-        e[t] = phi * e[t - 1] + g.normal()
-    w[:, 1] = w[:, 0] + e
-    return w
 
 
 class TestSpecAndDesign:
@@ -313,7 +302,12 @@ class TestDirect:
         d = co.build_vecm_design(random_walks(seed=13, n=70, dim=n),
                                  co.VecmSpec(n=n, p=2, n_seasonal_dummies=dummies))
         draws = 200
-        lp = co.direct_draws(d, RngState(n, 4), n_draws=draws)
+        base = co.direct_draws(d, RngState(n, 4), n_draws=draws)
+        # The per-rank thresholds test_rank compares the base with.
+        conc = co.johansen_concentrate(d)
+        thresholds = -0.5 * (d.effective_t + n + 1) * co.trace_gaps(conc.eigenvalues)
+        stars = [co.log_s_star(r, conc.eigenvalues, conc.suu, d.effective_t, n)
+                 for r in range(n + 1)]
         # Literal (eta, Omega) draws from the same chi-squares: the kernel
         # depends on the normals only through their sum of squares q, so
         # any normals with that sum will do.
@@ -336,7 +330,17 @@ class TestDirect:
             eta = eta_hat + np.linalg.solve(r, v[:k * n].reshape(k, n)) @ \
                 np.linalg.cholesky(omega).T
             want = co.log_posterior(co.CointDraw(eta=eta, omega=omega), d)
-            assert lp[i] == pytest.approx(want, rel=1e-10)
+            for threshold, star in zip(thresholds, stars):
+                assert abs(base[i] - threshold - (want - star)) <= 1e-12 * abs(want)
+
+    def test_base_stream_reads_only_the_sizes(self):
+        d = co.build_vecm_design(random_walks(seed=13, n=70, dim=3),
+                                 co.VecmSpec(n=3, p=2, n_seasonal_dummies=1))
+        sizes = SimpleNamespace(effective_t=d.effective_t, spec=SimpleNamespace(n=3),
+                                z=SimpleNamespace(shape=d.z.shape))
+        want = co.direct_draws(d, RngState(3, 4), n_draws=500)
+        assert np.array_equal(co.direct_draws(sizes, RngState(3, 4), n_draws=500), want)
+        assert want.max() < 0.0
 
     @pytest.mark.parametrize("data, spec", [
         (random_walks(seed=2, n=100, dim=2), co.VecmSpec(n=2, p=1, n_seasonal_dummies=1)),
@@ -352,6 +356,27 @@ class TestDirect:
             gibbs = estimate_evidence(h.log_s_star, chain.log_posterior, burn_in=1_000)
             se = math.hypot(h.evidence.mc_se, gibbs.mc_se_batch)
             assert abs(h.evidence.ev - gibbs.ev) <= 4.0 * se, h.rank
+
+
+class TestTraceStatistic:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_trace_stat_from_the_eigenvalues(self, n):
+        data = weakly_cointegrated(seed=n, n=120, phi=0.6)[:, :n]
+        report = co.test_rank(data, co.VecmSpec(n=n, p=2), RngState(4),
+                              n_draws=2000, burn_in=200)
+        t = data.shape[0] - 2
+        lam = np.asarray(report.eigenvalues)
+        for r, h in enumerate(report.hypotheses[:n]):
+            want = -t * float(np.sum(np.log(1.0 - lam[r:])))
+            assert h.trace_stat == pytest.approx(want, rel=1e-12)
+        last = report.hypotheses[n - 1]
+        assert last.trace_stat == last.max_eig_stat
+        assert report.hypotheses[n].trace_stat is None
+
+    def test_gaps_fall_to_zero(self):
+        gaps = co.trace_gaps(np.array([0.5, 0.2, 0.1]))
+        np.testing.assert_allclose(gaps, [-math.log(0.5 * 0.8 * 0.9), -math.log(0.8 * 0.9),
+                                          -math.log(0.9), 0.0], rtol=1e-15)
 
 
 class TestMaxEig:
@@ -385,6 +410,7 @@ class TestRankTest:
         assert evs[-1] == 1.0
         assert report.hypotheses[-1].threshold is None
         assert report.hypotheses[-1].max_eig_stat is None
+        assert report.hypotheses[-1].trace_stat is None
         assert not report.hypotheses[-1].rejected
 
     def test_selects_rank_one_for_cointegrated_pair(self):

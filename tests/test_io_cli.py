@@ -179,10 +179,12 @@ class TestCliUnitroot:
         code, out, err = run_cli(["unitroot", series_csv, "-p", "2"] + self.ARGS, capsys)
         assert code == 0, err
         report = json.loads(out)
-        assert report["schema"] == "evcoint/2"
+        assert report["schema"] == "evcoint/3"
         assert report["engine"] == "unitroot"
+        assert "evidence" not in report
         row = report["rows"][0]
         assert 0.0 <= row["ev"] <= 1.0
+        assert row["log_s_star"] < 0.0
         assert report["config"]["seed"] == 5
 
     def test_byte_identical_rerun(self, series_csv, capsys):
@@ -198,7 +200,6 @@ class TestCliUnitroot:
         echoed = RunConfig(**report["config"])
         replay = cli.run(echoed)
         assert replay["rows"] == report["rows"]
-        assert replay["evidence"] == report["evidence"]
 
     def test_format_choice_preserves_numbers(self, series_csv, capsys):
         base = ["unitroot", series_csv, "-p", "1"] + self.ARGS
@@ -250,6 +251,14 @@ class TestCliUnitroot:
         code, _, err = run_cli(["unitroot", path] + self.ARGS, capsys)
         assert code == 3 and "numeric failure" in err
 
+    def test_exit_3_on_a_perfect_full_fit(self, tmp_path, capsys, monkeypatch):
+        # dy_t = 0.05 y_{t-1} for y_t = 1.05^t: the full regression fits
+        # exactly, the restricted one does not.
+        _forbid(monkeypatch, ["direct_draws"], "sampling started on a degenerate fit")
+        path = write_csv(tmp_path / "geometric.csv", ["y"], [[1.05 ** i] for i in range(30)])
+        code, out, err = run_cli(["unitroot", path] + self.ARGS, capsys)
+        assert code == 3 and "numeric failure" in err and out == ""
+
     def test_exit_4_on_config_error(self, pair_csv, capsys):
         code, _, err = run_cli(["unitroot", pair_csv] + self.ARGS, capsys)
         assert code == 4 and "config error" in err
@@ -267,6 +276,13 @@ class TestCliCoint:
         assert report["rows"][-1]["ev"] == 1.0
         assert report["selected_rank"] in (0, 1, 2)
         assert len(report["eigenvalues"]) == 2
+        lam = np.array(report["eigenvalues"])
+        t = 120 - 1
+        for r, row in enumerate(report["rows"][:2]):
+            assert row["trace_stat"] == pytest.approx(-t * np.log(1.0 - lam[r:]).sum(),
+                                                      rel=1e-12)
+        assert report["rows"][1]["trace_stat"] == report["rows"][1]["max_eig_stat"]
+        assert report["rows"][2]["trace_stat"] is None
 
     def test_byte_identical_rerun(self, pair_csv, capsys):
         args = ["coint", pair_csv, "-p", "2", "--threshold-policy", "fixed:0.05"] + self.ARGS
@@ -297,10 +313,14 @@ class TestCliCoint:
         ([], "-5"),
         (["--output", "{tmp}/missing/report.json"], None),
         (["--output", "{tmp}"], None),
+        (["--no-such-flag"], None),
+        (["--dimension-convention", "foo"], None),
+        (["--n-draws", "abc"], None),
     ], ids=["p0", "dummies-ge-period", "policy-bogus", "bridge-p2", "bridge-p-tiny",
             "env-seed-abc",
             "delimiter-empty", "delimiter-two-chars", "seed-negative", "stream-negative",
-            "env-seed-negative", "output-dir-missing", "output-is-directory"])
+            "env-seed-negative", "output-dir-missing", "output-is-directory",
+            "unknown-flag", "convention-choice", "n-draws-not-int"])
     def test_exit_4_on_config_error(self, pair_csv, tmp_path, capsys, monkeypatch, args,
                                     env_seed):
         def no_sampling(*_, **__):
@@ -316,6 +336,13 @@ class TestCliCoint:
         code, out, err = run_cli(argv, capsys)
         assert code == 4 and "config error" in err and out == ""
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["coint", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_markdown_rendering(self, pair_csv, capsys):
         code, out, _ = run_cli(

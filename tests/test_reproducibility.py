@@ -7,9 +7,10 @@ the draws or the report changed: bit-identity holds for a fixed
 ``(seed, stream)`` on a given numpy build and SIMD dispatch, which is what
 these tests pin.  A sampler rewrite must leave every hash as it is.  The
 chain cases hash the draws only, not their log posteriors, whose last bit
-depends on how they are evaluated; the direct cases hash the log posterior
-(and the unit root's g0) that the CLI counts, and the report cases pin what
-those values decide.
+depends on how they are evaluated; the direct cases hash the data-free base
+stream (and the unit root's g0) that the CLI counts, and the report cases pin
+what those values decide.  The e-values of a fixed ``(seed, stream)`` also do not
+depend on the units of the data.
 """
 import contextlib
 import hashlib
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ar1_series, random_walks
+from conftest import ar1_series, random_walks, weakly_cointegrated
 from evcoint import cli
 from evcoint import cointegration as co
 from evcoint import unitroot as ur
@@ -100,8 +101,8 @@ def _vecm_chain(n, p, dummies, n_draws):
 
 
 def _unitroot_direct():
-    lp, g0 = ur.direct_draws(_unitroot_design(), RngState(SEED, STREAM), n_draws=5000)
-    return digest(lp, g0)
+    base, g0 = ur.direct_draws(_unitroot_design(), RngState(SEED, STREAM), n_draws=5000)
+    return digest(base, g0)
 
 
 def _vecm_direct(n, p, dummies, n_draws):
@@ -167,15 +168,34 @@ GOLDEN = {
     "vecm_chain_n2": "88ae79b5281c46d72a8b589e25af3334ec7d6bd507ea2ba08400d7abe113216d",
     "vecm_chain_n3_odd_block": "6736e6c384636a59a1211a736fe31f47e2b639d29cf47d4f858a8859f87a70d0",
     "vecm_chain_n4_dummies": "cc8e65fec16e3f75929506f5ad9b2d45c2ba97becc71dd6f2ef411016e7f06f8",
-    "unitroot_direct": "982d0e310033e048e31411c0a45e0ed900c25d985a0f1393b3c510bb5180e6ea",
-    "vecm_direct_n2": "3d025a85c6c92b0e17c5443de224c173edafca43fe4f4501f9ceb6446363e7f7",
-    "vecm_direct_n4_dummies": "f77787e85ec4031a45faa3da210befbb4cdcd369babf45823a8b6481bc904909",
+    "unitroot_direct": "c5d0b6815ac99567ea1a377be5b9b03f4519a1dab9864bf305c06b2bf1de435b",
+    "vecm_direct_n2": "bae7acbae4a4234096b2ee40b63ec650f664e8020e9d229f0832dc514f2bb4ee",
+    "vecm_direct_n4_dummies": "60cac7d7ae7f1d486d231954e3df223a9e501e1e761df4bfdec7f533540bd774",
     "scalars_after_chain": "50bc3dc78c2f47c7a7e0e1313f446c7cf9565d5a3cc1f3c3728411cd3f12feab",
-    "report_unitroot": "12a9c4571b0e852a42ce74698b1c8ac145d599f1fa9c343f01aebc81aa845f0b",
-    "report_rank_bridge": "918b9c033a854911e30c318a24f45e3755b243a14d5fe2263a8152530b187a8d",
+    "report_unitroot": "7844299356f905cd59fcee362fa9c8bd68875ff6d93f6cabe3ce49aa7560cd7a",
+    "report_rank_bridge": "fe37edfb9b0205384c26b113a629265c1207fd9e93794c07ba9fd00d2e4c22b8",
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_hash(case):
     assert CASES[case]() == GOLDEN[case]
+
+
+SCALES = (1e-3, 1.0, 1e3, 1e6)
+
+
+@pytest.mark.parametrize("engine", ["unitroot", "vecm-finland-shape"])
+def test_evalues_do_not_depend_on_the_data_units(engine):
+    # The draws are the same at every scale, and each e-value is a function
+    # of a scale-free statistic (the ADF t-ratio, the trace statistic).
+    if engine == "unitroot":
+        y, spec = ar1_series(seed=8, n=129), ur.UnitRootSpec(p=4, include_trend=True)
+        evs = [ur.test_unit_root(c * y, spec, RngState(SEED, STREAM)).evidence.ev
+               for c in SCALES]
+    else:
+        y = weakly_cointegrated(seed=4, n=108, phi=0.8)
+        spec = co.VecmSpec(n=4, p=2, n_seasonal_dummies=3)
+        evs = [[h.evidence.ev for h in co.test_rank(c * y, spec, RngState(4, 1)).hypotheses]
+               for c in SCALES]
+    assert all(ev == evs[1] for ev in evs), evs

@@ -182,10 +182,14 @@ class TestDirect:
                                  ur.UnitRootSpec(p=p, include_trend=trend,
                                                  include_intercept=intercept))
         n = 300
-        lp, g0 = ur.direct_draws(design, RngState(p, 4), n_draws=n)
+        base, g0 = ur.direct_draws(design, RngState(p, 4), n_draws=n)
+        # base - threshold is the log posterior minus the restricted maximum,
+        # with the threshold that test_unit_root reads off the ADF t-ratio.
+        t, k = design.x_full.shape
+        threshold = ur.tangent_threshold(ur.adf_statistic(design), t, k)
+        _, _, log_s_star = ur.restricted_map(design)
         # The same variates, turned into literal (psi, sigma) draws.
         rng = RngState(p, 4)
-        t, k = design.x_full.shape
         coef, _, rss, r = design.fit
         u = rng.gamma_array(0.5 * (t - k), n)
         z = rng.standard_normal((n, k))
@@ -193,7 +197,7 @@ class TestDirect:
         psi = coef.ravel() + sigma[:, None] * np.linalg.solve(r, z.T).T
         for i in range(n):
             want = ur.log_posterior(ur.UnitRootDraw(psi=psi[i], sigma=sigma[i]), design)
-            assert lp[i] == pytest.approx(want, rel=1e-10, abs=1e-10)
+            assert abs(base[i] - threshold - (want - log_s_star)) <= 1e-12 * abs(want)
         np.testing.assert_allclose(g0, psi[:, design.gamma0_index], rtol=1e-10, atol=1e-14)
 
     def test_agrees_with_gibbs(self):
@@ -202,8 +206,8 @@ class TestDirect:
         _, _, log_s_star = ur.restricted_map(design)
         chain = ur.gibbs_chain(design, RngState(12), n_draws=21_000, burn_in=1_000)
         gibbs = estimate_evidence(log_s_star, chain.log_posterior, burn_in=1_000)
-        lp, _ = ur.direct_draws(design, RngState(12), n_draws=21_000)
-        direct = estimate_evidence(log_s_star, lp, burn_in=1_000)
+        direct = ur.test_unit_root(ar1_series(seed=30, n=50), design.spec, RngState(12),
+                                   n_draws=21_000, burn_in=1_000).evidence
         assert 0.1 < direct.ev < 0.9
         assert abs(direct.ev - gibbs.ev) < 4.0 * math.hypot(direct.mc_se, gibbs.mc_se_batch)
 
@@ -257,11 +261,22 @@ class TestEndToEnd:
         assert res.sigma_map > 0
 
     def test_one_full_design_fit_per_run(self, ols_design_widths):
-        # The restricted regression plus the full-design fit that the
-        # sampler, the ADF statistic and the MAP point all share.
+        # The full-design fit that the sampler, the ADF statistic and the
+        # MAP point all share; the restricted maximum is read off the ADF
+        # t-ratio, so no restricted regression runs.
         ur.test_unit_root(ar1_series(seed=31, n=50), ur.UnitRootSpec(p=2, include_trend=True),
                           RngState(3), n_draws=2000, burn_in=200)
-        assert ols_design_widths == [3, 4]
+        assert ols_design_widths == [4]
+
+    @pytest.mark.parametrize("p, trend, intercept", [
+        (1, False, False), (1, False, True), (3, True, True),
+    ])
+    def test_log_s_star_is_the_restricted_maximum(self, p, trend, intercept):
+        spec = ur.UnitRootSpec(p=p, include_trend=trend, include_intercept=intercept)
+        y = ar1_series(seed=33, n=70)
+        res = ur.test_unit_root(y, spec, RngState(3), n_draws=1000, burn_in=100)
+        _, _, log_s_star = ur.restricted_map(ur.build_design(y, spec))
+        assert res.log_s_star == pytest.approx(log_s_star, rel=1e-12)
 
     def test_deterministic_replay(self):
         y = ar1_series(seed=32, n=40)
