@@ -12,7 +12,7 @@ import time
 
 from . import cointegration, io, unitroot
 from .errors import ConfigError, InputError, NumericError
-from .fbst import CONVENTIONS, DEFAULT_BURN_IN, DEFAULT_N_DRAWS
+from .fbst import CONVENTIONS
 from .report import RunConfig, rank_report, render, unitroot_report
 from .rng import RngState
 
@@ -73,6 +73,7 @@ def _spec(cls, **fields):
 
 
 def _env_seed():
+    """The seed when ``--seed`` is absent: ``$EVCOINT_SEED``, else 0."""
     value = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(value)
@@ -80,25 +81,27 @@ def _env_seed():
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
 
 
+def _delimiter(text):
+    return "\t" if text in ("\\t", "tab") else text
+
+
 def _add_common(parser):
-    parser.add_argument("input", help="path to the input CSV file")
-    parser.add_argument("--columns", nargs="+", default=None,
+    parser.add_argument("input_path", metavar="input", help="path to the input CSV file")
+    parser.add_argument("--columns", nargs="+",
                         help="column names or zero-based indices to use")
-    parser.add_argument("--transform", choices=["none", "log"], default="none")
-    parser.add_argument("--delimiter", default=",",
+    parser.add_argument("--transform", choices=["none", "log"])
+    parser.add_argument("--delimiter", type=_delimiter,
                         help="field delimiter (',', ';' or tab)")
     parser.add_argument("--skip-index-column", action="store_true",
                         help="ignore a leading time-index column")
-    parser.add_argument("--n-draws", type=int, default=DEFAULT_N_DRAWS)
-    parser.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--n-draws", type=int)
+    parser.add_argument("--burn-in", type=int)
+    parser.add_argument("--seed", type=int,
                         help=f"master seed (default: ${SEED_ENV_VAR}, else 0)")
-    parser.add_argument("--stream", type=int, default=0,
+    parser.add_argument("--stream", type=int,
                         help="random sub-stream id derived from the seed")
-    parser.add_argument("--format", choices=["json", "csv", "markdown"],
-                        default="json", dest="output_format")
-    parser.add_argument("--output", default=None,
-                        help="also write the report to this file")
+    parser.add_argument("--format", choices=["json", "csv", "markdown"], dest="output_format")
+    parser.add_argument("--output", help="also write the report to this file")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,81 +114,51 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """Every dest is a ``RunConfig`` field; a flag left out stays out of the
+    namespace, so ``RunConfig`` supplies its default."""
     parser = _Parser(
         prog="evcoint",
         description="FBST e-values for unit-root and cointegration-rank hypotheses",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="engine", required=True)
 
-    ur = sub.add_parser("unitroot", help="unit-root test on a single series")
+    ur = sub.add_parser("unitroot", help="unit-root test on a single series",
+                        argument_default=argparse.SUPPRESS)
     _add_common(ur)
-    ur.add_argument("-p", "--lags", type=int, default=1, dest="p",
-                    help="autoregressive lag order p")
+    ur.add_argument("-p", "--lags", type=int, dest="p", help="autoregressive lag order p")
     ur.add_argument("--trend", action="store_true", dest="include_trend",
                     help="include a deterministic linear trend")
     ur.add_argument("--no-intercept", action="store_false", dest="include_intercept")
 
-    co = sub.add_parser("coint", help="cointegration-rank test on multiple series")
+    co = sub.add_parser("coint", help="cointegration-rank test on multiple series",
+                        argument_default=argparse.SUPPRESS)
     _add_common(co)
-    co.add_argument("-p", "--lags", type=int, default=1, dest="p",
-                    help="VAR lag order p")
+    co.add_argument("-p", "--lags", type=int, dest="p", help="VAR lag order p")
     co.add_argument("--no-constant", action="store_false", dest="include_constant")
-    co.add_argument("--dummies", type=int, default=0, dest="n_seasonal_dummies",
+    co.add_argument("--dummies", type=int, dest="n_seasonal_dummies",
                     help="number of seasonal dummy columns")
-    co.add_argument("--dummy-period", type=int, default=4)
+    co.add_argument("--dummy-period", type=int)
     co.add_argument("--centered-dummies", action="store_true")
-    co.add_argument("--start-period-index", type=int, default=0,
+    co.add_argument("--start-period-index", type=int,
                     help="period (0-based) of the first raw observation")
-    co.add_argument("--threshold-policy", default="bridge:p=0.01",
+    co.add_argument("--threshold-policy",
                     help="'fixed:0.05', 'fixed:0.01' or 'bridge:p=0.01'")
-    co.add_argument("--dimension-convention", default="paper-literal",
-                    choices=CONVENTIONS)
+    co.add_argument("--dimension-convention", choices=CONVENTIONS)
     return parser
-
-
-def config_from_args(args):
-    common = dict(
-        input_path=args.input,
-        columns=args.columns,
-        transform=args.transform,
-        delimiter="\t" if args.delimiter in ("\\t", "tab") else args.delimiter,
-        skip_index_column=args.skip_index_column,
-        p=args.p,
-        n_draws=args.n_draws,
-        burn_in=args.burn_in,
-        seed=_env_seed() if args.seed is None else args.seed,
-        stream=args.stream,
-        output_format=args.output_format,
-    )
-    if args.command == "unitroot":
-        return RunConfig(
-            engine="unitroot",
-            include_trend=args.include_trend,
-            include_intercept=args.include_intercept,
-            **common,
-        )
-    return RunConfig(
-        engine="coint",
-        include_constant=args.include_constant,
-        n_seasonal_dummies=args.n_seasonal_dummies,
-        dummy_period=args.dummy_period,
-        centered_dummies=args.centered_dummies,
-        start_period_index=args.start_period_index,
-        threshold_policy=args.threshold_policy,
-        dimension_convention=args.dimension_convention,
-        **common,
-    )
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-        config = config_from_args(args)
+        fields = vars(build_parser().parse_args(argv))
+        output = fields.pop("output", None)
+        if "seed" not in fields:
+            fields["seed"] = _env_seed()
+        config = RunConfig(**fields)
         # The report file is written after the run; fail before it if it cannot be.
-        if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
-            raise ConfigError(f"directory of --output {args.output!r} does not exist")
-        if args.output and os.path.isdir(args.output):
-            raise ConfigError(f"--output {args.output!r} is a directory")
+        if output and not os.path.isdir(os.path.dirname(os.path.abspath(output))):
+            raise ConfigError(f"directory of --output {output!r} does not exist")
+        if output and os.path.isdir(output):
+            raise ConfigError(f"--output {output!r} is a directory")
         report = run(config)
         text = render(report, config.output_format)
     except InputError as exc:
@@ -198,8 +171,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 4
     sys.stdout.write(text)
-    if args.output:
-        with open(args.output, "w") as fh:
+    if output:
+        with open(output, "w") as fh:
             fh.write(text)
     return 0
 

@@ -187,14 +187,13 @@ def _kernel_constant(t, n):
     return -0.5 * (t + n + 1) * n * (math.log(t / (t + n + 1)) + 1.0)
 
 
-def log_s_star(rank, eigenvalues, suu, t, n):
-    """Rank-constrained maximum of the log posterior, in the same constant
-    convention as ``log_posterior``."""
-    if not 0 <= rank <= n:
-        raise ValueError("rank must lie in [0, n]")
-    lam = np.asarray(eigenvalues, dtype=float)
-    tail = float(np.sum(np.log1p(-lam[:rank])))
-    return _kernel_constant(t, n) - 0.5 * (t + n + 1) * (linalg.log_det_spd(suu) + tail)
+def log_s_stars(eigenvalues, suu, t, n):
+    """Rank-constrained maxima l*_0..l*_n of the log posterior, in the same
+    constant convention as ``log_posterior``, from one log-determinant:
+    l*_r = c - ((T+n+1)/2) (ln|S_uu| + sum_{i<=r} ln(1 - lambda_i))."""
+    tails = np.append(0.0, np.cumsum(np.log1p(-np.asarray(eigenvalues, dtype=float))))
+    stars = _kernel_constant(t, n) - 0.5 * (t + n + 1) * (linalg.log_det_spd(suu) + tails)
+    return stars.tolist()
 
 
 def log_posterior(draw, design):
@@ -215,13 +214,13 @@ class CointChain:
     eta: np.ndarray            # n_draws x k x n
     omega: np.ndarray          # n_draws x n x n
     log_posterior: np.ndarray  # n_draws, the kernel of ``log_posterior`` at each draw
-    burn_in: int
 
 
-def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
+def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS):
     """Alternate eta | Omega ~ MN(eta_hat, (Z'Z)^-1, Omega) and
     Omega | eta ~ IW(S + (eta - eta_hat)' Z'Z (eta - eta_hat), T),
-    starting from (eta_hat, S/T).
+    starting from (eta_hat, S/T).  Every draw is emitted; the caller
+    discards the burn-in.
 
     The log posterior of each draw is read off its variates: the scale
     M = RSS(eta) has Cholesky factor L and the Bartlett factor A gives
@@ -246,7 +245,7 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
         omega_out[i] = omega = inverse_wishart_from_factor(a, l)
         log_det = 2.0 * (np.log(np.diag(l)).sum() - np.log(np.diag(a)).sum())
         lp_out[i] = -0.5 * (t + n + 1) * log_det - 0.5 * np.sum(a * a)
-    return CointChain(eta=eta_out, omega=omega_out, log_posterior=lp_out, burn_in=burn_in)
+    return CointChain(eta=eta_out, omega=omega_out, log_posterior=lp_out)
 
 
 def chain_log_posterior(chain, design):
@@ -368,7 +367,7 @@ def test_rank(
     conc = johansen_concentrate(design)
     t, n = design.effective_t, spec.n
     k = design.z.shape[1]
-    stars = [log_s_star(r, conc.eigenvalues, conc.suu, t, n) for r in range(n + 1)]
+    stars = log_s_stars(conc.eigenvalues, conc.suu, t, n)
 
     # Runtime self-check: the log posterior at the analytic full-rank MAP
     # must equal the rank-n constrained maximum.

@@ -36,8 +36,11 @@ def estimate_evidence(threshold, values, burn_in=0, n_batches=20):
     the threshold's scale) strictly exceeds ``threshold``, the constrained
     maximum; ties count against the tangent set.  ``mc_se`` is the binomial
     standard error; ``mc_se_batch`` the batch-means alternative that does
-    not ignore chain autocorrelation.
+    not ignore chain autocorrelation.  A negative ``burn_in`` is a
+    ``ValueError``.
     """
+    if burn_in < 0:
+        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
     lp = np.asarray(values, dtype=float).ravel()
     if lp.size <= burn_in:
         raise EmptyStream(f"stream of {lp.size} draws with burn-in {burn_in}")

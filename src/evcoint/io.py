@@ -29,7 +29,8 @@ def read_csv(path, columns=None, transform="none", delimiter=",", skip_index_col
     """Load selected columns of a delimited text file.
 
     ``columns`` may name columns (header labels) or give zero-based indices;
-    ``None`` takes every column.  ``transform`` is ``"none"`` or ``"log"``;
+    ``None`` takes every column, and a column selected twice is an
+    ``InputError``.  ``transform`` is ``"none"`` or ``"log"``;
     the log transform rejects non-positive cells.
     """
     path = Path(path)
@@ -66,6 +67,8 @@ def read_csv(path, columns=None, transform="none", delimiter=",", skip_index_col
                 indices.append(header.index(c))
             else:
                 raise MissingColumn(c)
+            if indices.count(indices[-1]) > 1:
+                raise InputError(f"column {header[indices[-1]]!r} selected twice")
 
     names = tuple(header[idx] for idx in indices)
     try:

@@ -9,9 +9,6 @@ that stream and fixed permanently.  Draws are bit-identical for a fixed
 use numpy's ``log``/``sqrt``/``cos``/``sin`` kernels and the gamma
 acceptance test uses ``math.log``, and ``tests/test_reproducibility.py``
 pins the streams to golden hashes.
-
-Each sampler has a matching log-density evaluator used by the Geweke-style
-simulator checks in the test suite.
 """
 from __future__ import annotations
 
@@ -48,10 +45,6 @@ class RngState:
         self._bitgen = np.random.PCG64(ss)
         self._buf = np.empty(0)
         self._pos = 0
-
-    def substream(self, stream):
-        """Fresh RngState on another stream of the same master seed."""
-        return RngState(self.seed, stream)
 
     def _take(self, count):
         """The next ``count`` uniforms of the stream."""
@@ -121,16 +114,6 @@ class RngState:
 
 
 @dataclass(frozen=True)
-class InverseGammaParams:
-    shape: float
-    scale: float
-
-    def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("inverse-gamma shape and scale must be positive")
-
-
-@dataclass(frozen=True)
 class MatrixNormalParams:
     mean: np.ndarray
     row_cov: np.ndarray
@@ -155,18 +138,6 @@ class InverseWishartParams:
             raise ValueError("inverse-Wishart dof must exceed dimension - 1")
 
 
-def sample_inverse_gamma(rng, params):
-    """Inverse-gamma draw: scale / Gamma(shape, 1)."""
-    return params.scale / rng.gamma(params.shape)
-
-
-def log_inverse_gamma_pdf(x, params):
-    a, b = params.shape, params.scale
-    if x <= 0:
-        return -math.inf
-    return a * math.log(b) - math.lgamma(a) - (a + 1.0) * math.log(x) - b / x
-
-
 def sample_matrix_normal(rng, params):
     """Matrix-normal draw M + A G B' with A, B Cholesky factors of the covariances."""
     m = np.asarray(params.mean, dtype=float)
@@ -174,21 +145,6 @@ def sample_matrix_normal(rng, params):
     _, b = as_spd(params.col_cov, "col_cov")
     g = np.atleast_2d(rng.standard_normal(m.shape))
     return m + a @ g @ b.T
-
-
-def log_matrix_normal_pdf(x, params):
-    m = np.asarray(params.mean, dtype=float)
-    u, lu = as_spd(params.row_cov, "row_cov")
-    v, lv = as_spd(params.col_cov, "col_cov")
-    p, q = m.shape
-    d = np.asarray(x, dtype=float) - m
-    # tr[V^-1 D' U^-1 D] through triangular solves.
-    a = np.linalg.solve(lu, d)
-    a = np.linalg.solve(lv, a.T)
-    quad = float(np.sum(a * a))
-    log_det_u = 2.0 * float(np.sum(np.log(np.diag(lu))))
-    log_det_v = 2.0 * float(np.sum(np.log(np.diag(lv))))
-    return -0.5 * quad - 0.5 * p * q * math.log(_TWO_PI) - 0.5 * p * log_det_v - 0.5 * q * log_det_u
 
 
 def _bartlett_factor(rng, p, dof):
@@ -232,29 +188,3 @@ def sample_inverse_wishart(rng, params):
     _, l = as_spd(params.scale, "scale")
     return inverse_wishart_from_factor(_bartlett_factor(rng, l.shape[0], params.dof), l)
 
-
-def _multivariate_lgamma(a, p):
-    out = 0.25 * p * (p - 1) * math.log(math.pi)
-    for i in range(p):
-        out += math.lgamma(a - 0.5 * i)
-    return out
-
-
-def log_inverse_wishart_pdf(x, params):
-    lam, _ = as_spd(params.scale, "scale")
-    p = lam.shape[0]
-    nu = params.dof
-    xm, lx = as_spd(x, "x")
-    log_det_lam = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(lam)))))
-    log_det_x = 2.0 * float(np.sum(np.log(np.diag(lx))))
-    # tr(Lambda x^-1) via solves against the Cholesky of x.
-    s = np.linalg.solve(lx, lam)
-    s = np.linalg.solve(lx, s.T)
-    trace = float(np.trace(s))
-    return (
-        0.5 * nu * log_det_lam
-        - 0.5 * nu * p * math.log(2.0)
-        - _multivariate_lgamma(0.5 * nu, p)
-        - 0.5 * (nu + p + 1.0) * log_det_x
-        - 0.5 * trace
-    )

@@ -48,7 +48,6 @@ class UnitRootSpec:
 class UnitRootDesign:
     delta_y: np.ndarray       # T x 1
     x_full: np.ndarray        # T x k
-    x_restricted: np.ndarray  # T x (k-1), lagged-level column removed
     effective_t: int
     gamma0_index: int         # column of y_{t-1} in x_full
     spec: UnitRootSpec
@@ -107,11 +106,9 @@ def build_design(series, spec):
         # sigma's marginal posterior Gamma((T-k)/2) needs T > k.
         raise SeriesTooShort(f"need at least {p + k + 1} observations for {k} "
                              f"regressors, got {y.size}")
-    x_restricted = np.delete(x_full, gamma0_index, axis=1)
     return UnitRootDesign(
         delta_y=delta_y,
         x_full=x_full,
-        x_restricted=x_restricted,
         effective_t=t_eff,
         gamma0_index=gamma0_index,
         spec=spec,
@@ -142,8 +139,9 @@ def restricted_map(design):
     ``log_s_star`` evaluated with the same constant convention as
     ``log_posterior``.
     """
-    if design.x_restricted.shape[1]:
-        fit = linalg.ols_solve(design.x_restricted, design.delta_y)
+    x_r = np.delete(design.x_full, design.gamma0_index, axis=1)
+    if x_r.shape[1]:
+        fit = linalg.ols_solve(x_r, design.delta_y)
         coef, rss_r = fit.coef.ravel(), float(fit.rss[0, 0])
     else:
         # p = 1 without deterministic terms: the restricted model has no regressor.
@@ -158,20 +156,18 @@ def restricted_map(design):
 
 @dataclass(frozen=True)
 class UnitRootChain:
-    psi: np.ndarray            # n_draws x k, burn-in included
+    psi: np.ndarray            # n_draws x k
     sigma: np.ndarray          # n_draws
     log_posterior: np.ndarray  # n_draws, the kernel of ``log_posterior`` at each draw
-    burn_in: int
 
 
-def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
+def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS):
     """Alternate psi | sigma ~ N(psi_hat, sigma^2 (X'X)^-1) and
     sigma^2 | psi ~ IG(T/2, H) starting from the full OLS point.  The shape
     T/2 reads the kernel sigma^-(T+1) exp(-RSS/2 sigma^2) as a density in
     (psi, sigma), in agreement with small-sample grid quadrature of it.
 
-    Every draw is emitted; the burn-in count is carried on the result so
-    downstream estimation can discard it.
+    Every draw is emitted; the caller discards the burn-in.
 
     The log posterior of each draw is read off its variates: psi - psi_hat
     = sigma R^-1 z gives RSS(psi) = rss_hat + sigma^2 |z|^2 = 2 h, and the
@@ -195,7 +191,7 @@ def gibbs_chain(design, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
         g_out[i] = g = rng.gamma(0.5 * t)
         sigma_out[i] = sigma = math.sqrt(h / g)
     lp = -(t + 1) * np.log(sigma_out) - g_out
-    return UnitRootChain(psi=psi_out, sigma=sigma_out, log_posterior=lp, burn_in=burn_in)
+    return UnitRootChain(psi=psi_out, sigma=sigma_out, log_posterior=lp)
 
 
 def chain_log_posterior(chain, design):

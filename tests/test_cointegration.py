@@ -149,15 +149,30 @@ class TestLogSStar:
         data = random_walks(seed=4, n=100, dim=3)
         d = co.build_vecm_design(data, co.VecmSpec(n=3, p=2))
         conc = co.johansen_concentrate(d)
-        stars = [
-            co.log_s_star(r, conc.eigenvalues, conc.suu, d.effective_t, 3)
-            for r in range(4)
-        ]
+        stars = co.log_s_stars(conc.eigenvalues, conc.suu, d.effective_t, 3)
+        assert len(stars) == 4
         assert all(b >= a for a, b in zip(stars, stars[1:]))
 
-    def test_rank_bounds(self):
-        with pytest.raises(ValueError):
-            co.log_s_star(4, np.array([0.1, 0.1, 0.1]), np.eye(3), 50, 3)
+    @pytest.mark.parametrize("n, dummies", [(2, 0), (3, 1), (4, 3)])
+    def test_gap_to_full_rank_is_the_trace_gap(self, n, dummies):
+        # l*_r - l*_n = -((T+n+1)/2) q_r.
+        d = co.build_vecm_design(random_walks(seed=14, n=90, dim=n),
+                                 co.VecmSpec(n=n, p=2, n_seasonal_dummies=dummies))
+        conc = co.johansen_concentrate(d)
+        stars = co.log_s_stars(conc.eigenvalues, conc.suu, d.effective_t, n)
+        want = -0.5 * (d.effective_t + n + 1) * co.trace_gaps(conc.eigenvalues)
+        for r in range(n):
+            assert stars[r] - stars[n] == pytest.approx(want[r], rel=1e-12)
+
+    def test_one_log_determinant_per_rank_test(self, monkeypatch):
+        # One for all the constrained maxima, one for the MAP self-check.
+        calls = []
+        log_det_spd = linalg.log_det_spd
+        monkeypatch.setattr(linalg, "log_det_spd", lambda a: calls.append(1) or log_det_spd(a))
+        n = 4
+        co.test_rank(random_walks(seed=15, n=90, dim=n), co.VecmSpec(n=n, p=2), RngState(1),
+                     n_draws=200, burn_in=0)
+        assert len(calls) == 2
 
     def test_full_rank_matches_map_log_posterior(self, tiny_vecm_design):
         d = tiny_vecm_design
@@ -167,7 +182,7 @@ class TestLogSStar:
         map_value = co.log_posterior(
             co.CointDraw(eta=eta_hat, omega=s / (t + n + 1)), d
         )
-        star = co.log_s_star(n, conc.eigenvalues, conc.suu, t, n)
+        star = co.log_s_stars(conc.eigenvalues, conc.suu, t, n)[n]
         assert map_value == pytest.approx(star, abs=1e-9 * max(1.0, abs(star)))
 
     def test_optimizer_oracle_full_rank(self, tiny_vecm_design):
@@ -180,7 +195,7 @@ class TestLogSStar:
         t, n = d.effective_t, 2
         k = d.z.shape[1]
         conc = co.johansen_concentrate(d)
-        star = co.log_s_star(n, conc.eigenvalues, conc.suu, t, n)
+        star = co.log_s_stars(conc.eigenvalues, conc.suu, t, n)[n]
 
         def unpack(x):
             eta = x[: k * n].reshape(k, n)
@@ -225,7 +240,7 @@ class TestLogSStar:
 class TestChain:
     def test_chain_log_posterior_matches_pointwise(self, tiny_vecm_design):
         d = tiny_vecm_design
-        chain = co.gibbs_chain(d, RngState(3), n_draws=100, burn_in=0)
+        chain = co.gibbs_chain(d, RngState(3), n_draws=100)
         lp = co.chain_log_posterior(chain, d)
         for i in range(0, 100, 9):
             direct = co.log_posterior(
@@ -237,7 +252,7 @@ class TestChain:
     def test_chain_log_posterior_at_every_draw(self, n, dummies):
         spec = co.VecmSpec(n=n, p=2, n_seasonal_dummies=dummies)
         d = co.build_vecm_design(random_walks(seed=n, n=90, dim=n), spec)
-        chain = co.gibbs_chain(d, RngState(n, 4), n_draws=600, burn_in=0)
+        chain = co.gibbs_chain(d, RngState(n, 4), n_draws=600)
         lp = co.chain_log_posterior(chain, d)
         direct = [co.log_posterior(co.CointDraw(eta=eta, omega=omega), d)
                   for eta, omega in zip(chain.eta, chain.omega)]
@@ -278,7 +293,7 @@ class TestChain:
             )
             omega_mc[i] = omega
 
-        chain = co.gibbs_chain(d, RngState(77, 2), n_draws=n_draws + 1000, burn_in=1000)
+        chain = co.gibbs_chain(d, RngState(77, 2), n_draws=n_draws + 1000)
         eta_sc = chain.eta[1000:]
         omega_sc = chain.omega[1000:]
 
@@ -306,8 +321,7 @@ class TestDirect:
         # The per-rank thresholds test_rank compares the base with.
         conc = co.johansen_concentrate(d)
         thresholds = -0.5 * (d.effective_t + n + 1) * co.trace_gaps(conc.eigenvalues)
-        stars = [co.log_s_star(r, conc.eigenvalues, conc.suu, d.effective_t, n)
-                 for r in range(n + 1)]
+        stars = co.log_s_stars(conc.eigenvalues, conc.suu, d.effective_t, n)
         # Literal (eta, Omega) draws from the same chi-squares: the kernel
         # depends on the normals only through their sum of squares q, so
         # any normals with that sum will do.
@@ -350,7 +364,7 @@ class TestDirect:
     def test_agrees_with_gibbs(self, data, spec):
         report = co.test_rank(data, spec, RngState(21), n_draws=21_000, burn_in=1_000)
         design = co.build_vecm_design(data, spec)
-        chain = co.gibbs_chain(design, RngState(21), n_draws=21_000, burn_in=1_000)
+        chain = co.gibbs_chain(design, RngState(21), n_draws=21_000)
         assert 0.1 < report.hypotheses[0].evidence.ev < 0.9
         for h in report.hypotheses:
             gibbs = estimate_evidence(h.log_s_star, chain.log_posterior, burn_in=1_000)

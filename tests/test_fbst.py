@@ -38,6 +38,10 @@ class TestEstimateEvidence:
         assert res.n_draws == 2
         assert res.ev == pytest.approx(0.5)
 
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(ValueError, match="burn-in"):
+            estimate_evidence(0.0, [1.0, 2.0, 3.0], burn_in=-1)
+
     def test_empty_stream(self):
         with pytest.raises(EmptyStream):
             estimate_evidence(0.0, [])

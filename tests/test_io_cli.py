@@ -72,6 +72,12 @@ class TestReadCsv:
         with pytest.raises(MissingColumn):
             io.read_csv(path, columns=["5"])
 
+    @pytest.mark.parametrize("columns", [["y", "y"], ["y", "1"]])
+    def test_column_selected_twice(self, tmp_path, columns):
+        path = write_csv(tmp_path / "m.csv", ["x", "y"], [[1, 2], [3, 4]])
+        with pytest.raises(InputError, match="'y' selected twice"):
+            io.read_csv(path, columns=columns)
+
     def test_skip_index_column(self, tmp_path):
         path = write_csv(tmp_path / "m.csv", ["year", "x"], [[1900, 1.5], [1901, 2.5]])
         m = io.read_csv(path, skip_index_column=True)
@@ -336,6 +342,19 @@ class TestCliCoint:
         code, out, err = run_cli(argv, capsys)
         assert code == 4 and "config error" in err and out == ""
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("engine, columns", [
+        ("coint", ["a", "a"]), ("coint", ["a", "0"]), ("unitroot", ["a", "a"]),
+    ])
+    def test_exit_2_on_a_column_selected_twice(self, pair_csv, capsys, monkeypatch, engine,
+                                               columns):
+        def no_fit(*_, **__):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(unitroot, "build_design", no_fit)
+        monkeypatch.setattr(cointegration, "build_vecm_design", no_fit)
+        code, out, err = run_cli([engine, pair_csv, "--columns", *columns] + self.ARGS, capsys)
+        assert code == 2 and "input error" in err and "'a'" in err and out == ""
 
     @pytest.mark.parametrize("argv", [["--help"], ["coint", "--help"]])
     def test_help_exits_0(self, argv, capsys):

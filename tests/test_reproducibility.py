@@ -85,7 +85,7 @@ def _unitroot_design():
 
 def _unitroot_chain():
     design = _unitroot_design()
-    chain = ur.gibbs_chain(design, RngState(SEED, STREAM), n_draws=5000, burn_in=100)
+    chain = ur.gibbs_chain(design, RngState(SEED, STREAM), n_draws=5000)
     return digest(chain.psi, chain.sigma)
 
 
@@ -96,7 +96,7 @@ def _vecm_design(n, p, dummies):
 
 def _vecm_chain(n, p, dummies, n_draws):
     design = _vecm_design(n, p, dummies)
-    chain = co.gibbs_chain(design, RngState(SEED, STREAM), n_draws=n_draws, burn_in=100)
+    chain = co.gibbs_chain(design, RngState(SEED, STREAM), n_draws=n_draws)
     return digest(chain.eta, chain.omega)
 
 
@@ -112,8 +112,8 @@ def _vecm_direct(n, p, dummies, n_draws):
 
 def _scalars_after_chain():
     rng = RngState(SEED, STREAM)
-    ur.gibbs_chain(_unitroot_design(), rng, n_draws=1500, burn_in=0)
-    co.gibbs_chain(_vecm_design(3, 2, 0), rng, n_draws=1500, burn_in=0)
+    ur.gibbs_chain(_unitroot_design(), rng, n_draws=1500)
+    co.gibbs_chain(_vecm_design(3, 2, 0), rng, n_draws=1500)
     return digest([rng.uniform(), rng.standard_normal(), rng.gamma(3.3)],
                   rng.standard_normal(5), rng.uniform(3))
 

@@ -5,14 +5,9 @@ import pytest
 
 from evcoint.errors import DimensionMismatch
 from evcoint.rng import (
-    InverseGammaParams,
     InverseWishartParams,
     MatrixNormalParams,
     RngState,
-    log_inverse_gamma_pdf,
-    log_inverse_wishart_pdf,
-    log_matrix_normal_pdf,
-    sample_inverse_gamma,
     sample_inverse_wishart,
     sample_matrix_normal,
     sample_wishart,
@@ -49,10 +44,6 @@ class TestStreams:
     def test_streams_differ(self):
         assert not np.array_equal(RngState(123, 0).uniform(100), RngState(123, 1).uniform(100))
         assert not np.array_equal(RngState(123, 0).uniform(100), RngState(124, 0).uniform(100))
-
-    def test_substream(self):
-        r = RngState(9, 0)
-        assert np.array_equal(r.substream(4).uniform(50), RngState(9, 4).uniform(50))
 
     def test_uniform_open_interval_and_mean(self):
         u = RngState(1).uniform(200_000)
@@ -111,35 +102,11 @@ class TestInverseGamma:
         assert ks_distance(draws, cdf) < 0.002
 
     def test_scalar_sampler_agrees(self):
+        # The scalar gamma path of the unit-root chain: sigma^2 = h / Gamma.
         r = RngState(13)
-        params = InverseGammaParams(shape=3.0, scale=2.0)
-        draws = np.sort([sample_inverse_gamma(r, params) for _ in range(120_000)])
+        draws = np.sort([2.0 / r.gamma(3.0) for _ in range(120_000)])
         cdf = inverse_gamma_cdf_quadrature(draws, 3.0, 2.0)
         assert ks_distance(draws, cdf) < 0.006
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            InverseGammaParams(shape=0.0, scale=1.0)
-        with pytest.raises(ValueError):
-            InverseGammaParams(shape=1.0, scale=-1.0)
-
-    def test_log_pdf_normalizes(self):
-        grid = np.linspace(1e-6, 200.0, 2_000_000)
-        params = InverseGammaParams(shape=3.0, scale=2.0)
-        log_dense = (
-            3.0 * math.log(2.0)
-            - math.lgamma(3.0)
-            - 4.0 * np.log(grid)
-            - 2.0 / grid
-        )
-        assert np.trapezoid(np.exp(log_dense), grid) == pytest.approx(1.0, abs=1e-4)
-        # Spot agreement between the evaluator and the closed form.
-        vals = np.array([log_inverse_gamma_pdf(x, params) for x in grid[::2000]])
-        np.testing.assert_allclose(vals, log_dense[::2000], rtol=1e-12)
-
-    def test_log_pdf_outside_support(self):
-        params = InverseGammaParams(shape=2.0, scale=1.0)
-        assert log_inverse_gamma_pdf(-1.0, params) == -math.inf
 
 
 class TestMatrixNormal:
@@ -172,21 +139,6 @@ class TestMatrixNormal:
     def test_param_validation(self):
         with pytest.raises(DimensionMismatch):
             MatrixNormalParams(mean=np.zeros((2, 3)), row_cov=np.eye(3), col_cov=np.eye(3))
-
-    def test_log_pdf_matches_multivariate_normal(self):
-        u = np.array([[2.0, 0.6], [0.6, 1.0]])
-        v = np.array([[1.5, -0.4], [-0.4, 0.8]])
-        m = np.array([[0.3, -1.0], [2.0, 0.1]])
-        params = MatrixNormalParams(mean=m, row_cov=u, col_cov=v)
-        x = np.array([[0.0, 0.5], [1.0, -0.2]])
-        cov = np.kron(v, u)
-        d = (x - m).reshape(4, order="F")
-        oracle = (
-            -0.5 * float(d @ np.linalg.solve(cov, d))
-            - 2.0 * math.log(2.0 * math.pi)
-            - 0.5 * math.log(np.linalg.det(cov))
-        )
-        assert log_matrix_normal_pdf(x, params) == pytest.approx(oracle, abs=1e-10)
 
 
 class TestInverseWishart:
@@ -232,20 +184,3 @@ class TestInverseWishart:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             InverseWishartParams(scale=np.eye(3), dof=1.5)
-
-    def test_log_pdf_scalar_reduction(self):
-        params = InverseWishartParams(scale=np.array([[4.0]]), dof=10.0)
-        ig = InverseGammaParams(shape=5.0, scale=2.0)
-        for x in (0.1, 0.4, 1.0, 3.0):
-            assert log_inverse_wishart_pdf(np.array([[x]]), params) == pytest.approx(
-                log_inverse_gamma_pdf(x, ig), abs=1e-10
-            )
-
-    def test_log_pdf_at_mode(self):
-        # The mode of IW(L, nu) is L/(nu + p + 1); density there beats neighbors.
-        lam = np.array([[2.0, 0.3], [0.3, 1.0]])
-        params = InverseWishartParams(scale=lam, dof=8.0)
-        mode = lam / (8.0 + 2.0 + 1.0)
-        at_mode = log_inverse_wishart_pdf(mode, params)
-        for scale in (0.8, 1.2):
-            assert log_inverse_wishart_pdf(mode * scale, params) < at_mode

@@ -23,7 +23,6 @@ class TestSpecAndDesign:
         design = ur.build_design(y, ur.UnitRootSpec(p=2, include_trend=True))
         assert design.effective_t == 10
         assert design.x_full.shape == (10, 4)
-        assert design.x_restricted.shape == (10, 3)
         assert design.gamma0_index == 2
         assert design.column_names == ("intercept", "trend", "level_lag1", "diff_lag1")
         np.testing.assert_allclose(design.x_full[:, 1], np.arange(3, 13))
@@ -42,9 +41,10 @@ class TestSpecAndDesign:
     def test_restricted_drops_only_level_column(self):
         y = ar1_series(n=20)
         design = ur.build_design(y, ur.UnitRootSpec(p=2))
-        np.testing.assert_array_equal(
-            design.x_restricted, np.delete(design.x_full, design.gamma0_index, axis=1)
-        )
+        psi_r, _, _ = ur.restricted_map(design)
+        x_r = np.delete(design.x_full, design.gamma0_index, axis=1)
+        want = np.linalg.lstsq(x_r, design.delta_y.ravel(), rcond=None)[0]
+        np.testing.assert_allclose(np.delete(psi_r, design.gamma0_index), want, rtol=1e-10)
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
@@ -95,7 +95,7 @@ class TestPosteriorAndMap:
 
     def test_chain_log_posterior_matches_pointwise(self, small_unitroot_design):
         design = small_unitroot_design
-        chain = ur.gibbs_chain(design, RngState(1), n_draws=200, burn_in=0)
+        chain = ur.gibbs_chain(design, RngState(1), n_draws=200)
         lp = ur.chain_log_posterior(chain, design)
         for i in range(0, 200, 17):
             direct = ur.log_posterior(
@@ -109,7 +109,7 @@ class TestPosteriorAndMap:
     def test_chain_log_posterior_at_every_draw(self, p, trend, intercept):
         spec = ur.UnitRootSpec(p=p, include_trend=trend, include_intercept=intercept)
         design = ur.build_design(ar1_series(seed=p, n=100), spec)
-        chain = ur.gibbs_chain(design, RngState(p, 4), n_draws=700, burn_in=0)
+        chain = ur.gibbs_chain(design, RngState(p, 4), n_draws=700)
         lp = ur.chain_log_posterior(chain, design)
         direct = [ur.log_posterior(ur.UnitRootDraw(psi=psi, sigma=float(sigma)), design)
                   for psi, sigma in zip(chain.psi, chain.sigma)]
@@ -149,7 +149,7 @@ class TestGibbs:
         z = rng.standard_normal((n, k))
         psi_mc = psi_hat + sigma_mc[:, None] * (z @ r_inv.T)
 
-        chain = ur.gibbs_chain(design, RngState(2024, 2), n_draws=n + 1000, burn_in=1000)
+        chain = ur.gibbs_chain(design, RngState(2024, 2), n_draws=n + 1000)
         sigma_sc = chain.sigma[1000:]
         psi_sc = chain.psi[1000:]
 
@@ -165,7 +165,7 @@ class TestGibbs:
         design = small_unitroot_design
         _, _, log_s_star = ur.restricted_map(design)
         grid_ev, grid_p = grid_posterior_unitroot(design, log_s_star)
-        chain = ur.gibbs_chain(design, RngState(0), n_draws=51_000, burn_in=1_000)
+        chain = ur.gibbs_chain(design, RngState(0), n_draws=51_000)
         lp = ur.chain_log_posterior(chain, design)
         res = estimate_evidence(log_s_star, lp, burn_in=1_000)
         assert abs(res.ev - grid_ev) < 0.03
@@ -204,7 +204,7 @@ class TestDirect:
         design = ur.build_design(ar1_series(seed=30, n=50),
                                  ur.UnitRootSpec(p=2, include_trend=True))
         _, _, log_s_star = ur.restricted_map(design)
-        chain = ur.gibbs_chain(design, RngState(12), n_draws=21_000, burn_in=1_000)
+        chain = ur.gibbs_chain(design, RngState(12), n_draws=21_000)
         gibbs = estimate_evidence(log_s_star, chain.log_posterior, burn_in=1_000)
         direct = ur.test_unit_root(ar1_series(seed=30, n=50), design.spec, RngState(12),
                                    n_draws=21_000, burn_in=1_000).evidence
@@ -277,6 +277,11 @@ class TestEndToEnd:
         res = ur.test_unit_root(y, spec, RngState(3), n_draws=1000, burn_in=100)
         _, _, log_s_star = ur.restricted_map(ur.build_design(y, spec))
         assert res.log_s_star == pytest.approx(log_s_star, rel=1e-12)
+
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(ValueError, match="burn-in"):
+            ur.test_unit_root(ar1_series(seed=31, n=50), ur.UnitRootSpec(p=1), RngState(1),
+                              n_draws=2000, burn_in=-5)
 
     def test_deterministic_replay(self):
         y = ar1_series(seed=32, n=40)
