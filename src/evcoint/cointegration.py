@@ -162,13 +162,12 @@ def johansen_concentrate(design):
     """
     n = design.spec.n
     t = design.effective_t
-    if design.z1.shape[1] == 0:
-        # p = 1 without deterministic terms: nothing to partial out.
-        u_hat = design.delta_y.copy()
-        v_hat = design.y_minus1.copy()
-    else:
-        u_hat = linalg.ols_solve(design.z1, design.delta_y).resid
-        v_hat = linalg.ols_solve(design.z1, design.y_minus1).resid
+    pair = np.hstack([design.delta_y, design.y_minus1])
+    if design.z1.shape[1]:
+        # One regression partials both blocks; without a short-run block
+        # (p = 1, no deterministic terms) there is nothing to partial out.
+        pair = linalg.ols_solve(design.z1, pair).resid
+    u_hat, v_hat = pair[:, :n], pair[:, n:]
     suu = (u_hat.T @ u_hat) / t
     svv = (v_hat.T @ v_hat) / t
     suv = (u_hat.T @ v_hat) / t
@@ -337,13 +336,6 @@ def parse_threshold_policy(policy):
     return kind, number
 
 
-def _threshold_for(policy, convention, n, k, rank):
-    kind, number = parse_threshold_policy(policy)
-    if kind == "fixed":
-        return number
-    return ev_from_pvalue(number, vecm_bridge_spec(n, k, rank, convention))
-
-
 def test_rank(
     data,
     spec,
@@ -363,6 +355,7 @@ def test_rank(
     hypotheses are rejected while the e-value stays below the policy
     threshold; the selected rank is the first survivor.
     """
+    kind, number = parse_threshold_policy(threshold_policy)
     design = build_vecm_design(data, spec, start_period_index=start_period_index)
     conc = johansen_concentrate(design)
     t, n = design.effective_t, spec.n
@@ -378,7 +371,8 @@ def test_rank(
             f"full-rank maximum inconsistency: MAP {map_value:.9g} vs l*_n {stars[n]:.9g}"
         )
 
-    thresholds = [_threshold_for(threshold_policy, dimension_convention, n, k, r)
+    thresholds = [number if kind == "fixed"
+                  else ev_from_pvalue(number, vecm_bridge_spec(n, k, r, dimension_convention))
                   for r in range(n)] + [None]
     gaps = trace_gaps(conc.eigenvalues)
     base = direct_draws(design, rng, n_draws=n_draws)

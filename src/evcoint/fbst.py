@@ -8,6 +8,7 @@ asymptotic bridge between likelihood-ratio p-values and e-values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -36,11 +37,11 @@ def estimate_evidence(threshold, values, burn_in=0, n_batches=20):
     the threshold's scale) strictly exceeds ``threshold``, the constrained
     maximum; ties count against the tangent set.  ``mc_se`` is the binomial
     standard error; ``mc_se_batch`` the batch-means alternative that does
-    not ignore chain autocorrelation.  A negative ``burn_in`` is a
-    ``ValueError``.
+    not ignore chain autocorrelation.  A ``burn_in`` that is not an integer
+    >= 0 (a bool counts as not an integer) is a ``ValueError``.
     """
-    if burn_in < 0:
-        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
+    if isinstance(burn_in, bool) or not isinstance(burn_in, Integral) or burn_in < 0:
+        raise ValueError(f"burn-in must be an integer >= 0, got {burn_in!r}")
     lp = np.asarray(values, dtype=float).ravel()
     if lp.size <= burn_in:
         raise EmptyStream(f"stream of {lp.size} draws with burn-in {burn_in}")

@@ -228,6 +228,8 @@ def test_criterion_6_small_instance_oracles():
     res = estimate_evidence(log_s_star, ur.chain_log_posterior(chain, design),
                             burn_in=BURN_IN)
     assert abs(res.ev - grid_ev) < 0.03, f"ev {res.ev:.4f} vs grid {grid_ev:.4f}"
+    chain_p = float(np.mean(chain.psi[BURN_IN:, design.gamma0_index] >= 0))
+    assert abs(chain_p - grid_p) < 0.01, f"P(g0 >= 0) {chain_p:.4f} vs grid {grid_p:.4f}"
     # The CLI's direct sampler, on the same oracle.
     direct = ur.test_unit_root(ar1_series(seed=7, n=13), ur.UnitRootSpec(p=1), RngState(0),
                                n_draws=N_DRAWS, burn_in=BURN_IN)

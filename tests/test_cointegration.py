@@ -8,14 +8,8 @@ from conftest import cointegrated_pair, random_walks, weakly_cointegrated
 from evcoint import cointegration as co
 from evcoint import linalg
 from evcoint.errors import NonFiniteInput, NotPositiveDefinite, SeriesTooShort
-from evcoint.fbst import estimate_evidence
-from evcoint.rng import (
-    InverseWishartParams,
-    MatrixNormalParams,
-    RngState,
-    sample_inverse_wishart,
-    sample_matrix_normal,
-)
+from evcoint.fbst import estimate_evidence, ev_from_pvalue, vecm_bridge_spec
+from evcoint.rng import RngState
 
 
 class TestSpecAndDesign:
@@ -185,40 +179,6 @@ class TestLogSStar:
         star = co.log_s_stars(conc.eigenvalues, conc.suu, t, n)[n]
         assert map_value == pytest.approx(star, abs=1e-9 * max(1.0, abs(star)))
 
-    def test_optimizer_oracle_full_rank(self, tiny_vecm_design):
-        """Multistart quasi-Newton maximization of the literal log posterior
-        over (eta, cholesky-parametrized Omega) must agree with the closed
-        form within 1e-3."""
-        from scipy.optimize import minimize
-
-        d = tiny_vecm_design
-        t, n = d.effective_t, 2
-        k = d.z.shape[1]
-        conc = co.johansen_concentrate(d)
-        star = co.log_s_stars(conc.eigenvalues, conc.suu, t, n)[n]
-
-        def unpack(x):
-            eta = x[: k * n].reshape(k, n)
-            l = np.array([[math.exp(x[k * n]), 0.0],
-                          [x[k * n + 1], math.exp(x[k * n + 2])]])
-            return eta, l @ l.T
-
-        def neg(x):
-            eta, omega = unpack(x)
-            try:
-                return -co.log_posterior(co.CointDraw(eta=eta, omega=omega), d)
-            except Exception:
-                return 1e12
-
-        g = np.random.default_rng(12)
-        best = -np.inf
-        for _ in range(8):
-            x0 = g.normal(scale=0.5, size=k * n + 3)
-            res = minimize(neg, x0, method="BFGS",
-                           options={"maxiter": 2000, "gtol": 1e-10})
-            best = max(best, -res.fun)
-        assert abs(best - star) < 1e-3
-
     def test_map_is_stationary_point_of_omega(self, tiny_vecm_design):
         # Finite-difference gradient of the log posterior in Omega vanishes
         # at the analytic maximizer.
@@ -269,46 +229,6 @@ class TestChain:
         monkeypatch.setattr(co, "inverse_wishart_from_factor", lambda a, l: -np.eye(2))
         with pytest.raises(NotPositiveDefinite):
             co.gibbs_chain(tiny_vecm_design, RngState(4), n_draws=10)
-
-    def test_geweke_marginal_vs_successive(self, tiny_vecm_design):
-        """The posterior factorizes exactly: Omega ~ IW(S, T - k) marginally
-        and eta | Omega is matrix normal around the OLS point.  An i.i.d.
-        sample from that factorization must match the Gibbs chain in the
-        first two moments of every coordinate."""
-        d = tiny_vecm_design
-        t, n = d.effective_t, 2
-        eta_hat, _, s, _ = linalg.ols_solve(d.z, d.delta_y)
-        k = eta_hat.shape[0]
-        zz_inv = np.linalg.inv(d.z.T @ d.z)
-
-        n_draws = 50_000
-        rng = RngState(77, 1)
-        eta_mc = np.empty((n_draws, k, n))
-        omega_mc = np.empty((n_draws, n, n))
-        iw = InverseWishartParams(scale=s, dof=float(t - k))
-        for i in range(n_draws):
-            omega = sample_inverse_wishart(rng, iw)
-            eta_mc[i] = sample_matrix_normal(
-                rng, MatrixNormalParams(mean=eta_hat, row_cov=zz_inv, col_cov=omega)
-            )
-            omega_mc[i] = omega
-
-        chain = co.gibbs_chain(d, RngState(77, 2), n_draws=n_draws + 1000)
-        eta_sc = chain.eta[1000:]
-        omega_sc = chain.omega[1000:]
-
-        pairs = []
-        for i in range(k):
-            for j in range(n):
-                pairs.append((eta_mc[:, i, j], eta_sc[:, i, j]))
-        for i in range(n):
-            for j in range(i + 1):
-                pairs.append((omega_mc[:, i, j], omega_sc[:, i, j]))
-        for mc, sc in pairs:
-            for moment in (1, 2):
-                a, b = mc ** moment, sc ** moment
-                se = math.sqrt(a.var() / a.size + 3.0 * b.var() / b.size)
-                assert abs(a.mean() - b.mean()) < 4.0 * se
 
 
 class TestDirect:
@@ -406,13 +326,20 @@ class TestMaxEig:
 
 class TestRankTest:
     def test_threshold_policies(self):
-        assert co._threshold_for("fixed:0.05", "paper-literal", 2, 4, 0) == 0.05
-        bridged = co._threshold_for("bridge:p=0.01", "paper-literal", 2, 4, 0)
+        assert co.parse_threshold_policy("fixed:0.05") == ("fixed", 0.05)
+        assert co.parse_threshold_policy("bridge:p=0.01") == ("bridge", 0.01)
+        bridged = ev_from_pvalue(0.01, vecm_bridge_spec(2, 4, 0, "paper-literal"))
         assert bridged == pytest.approx(0.276, abs=0.01)
         with pytest.raises(ValueError):
-            co._threshold_for("bridge:0.01", "paper-literal", 2, 4, 0)
+            co.parse_threshold_policy("bridge:0.01")
         with pytest.raises(ValueError):
-            co._threshold_for("other:1", "paper-literal", 2, 4, 0)
+            co.parse_threshold_policy("other:1")
+
+    def test_bad_threshold_policy_rejected_before_any_fit(self, ols_design_widths):
+        with pytest.raises(ValueError):
+            co.test_rank(cointegrated_pair(seed=5, n=200), co.VecmSpec(n=2, p=2), RngState(10),
+                         n_draws=2000, burn_in=200, threshold_policy="bogus")
+        assert ols_design_widths == []
 
     def test_nested_evidence_and_full_rank_certainty(self):
         report = co.test_rank(
@@ -466,12 +393,12 @@ class TestRankTest:
             assert ha.log_s_star == hb.log_s_star
 
     def test_one_full_design_fit_per_run(self, ols_design_widths):
-        # Two short-run partialling fits, the Frisch-Waugh fit of the
-        # partialled pair and one full-design fit shared by the identity
-        # check, the MAP self-check, the sampler and the log posterior.
+        # One short-run partialling fit of both blocks, the Frisch-Waugh fit
+        # of the partialled pair and one full-design fit shared by the
+        # identity check and the MAP self-check; the sampler reads no fit.
         co.test_rank(cointegrated_pair(seed=5, n=200), co.VecmSpec(n=2, p=2), RngState(10),
                      n_draws=2000, burn_in=200)
-        assert ols_design_widths == [3, 3, 2, 5]
+        assert ols_design_widths == [3, 2, 5]
 
     def test_report_metadata(self):
         report = co.test_rank(

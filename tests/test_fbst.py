@@ -41,6 +41,11 @@ class TestEstimateEvidence:
     def test_negative_burn_in_rejected(self):
         with pytest.raises(ValueError, match="burn-in"):
             estimate_evidence(0.0, [1.0, 2.0, 3.0], burn_in=-1)
+        for bad in (1.5, 1.0, True, "1"):
+            with pytest.raises(ValueError, match="burn-in"):
+                estimate_evidence(0.0, [1.0, 2.0, 3.0], burn_in=bad)
+        res = estimate_evidence(0.0, [1.0, 2.0, 3.0], burn_in=np.int64(1))
+        assert res.n_draws == 2 and res.burn_in == 1
 
     def test_empty_stream(self):
         with pytest.raises(EmptyStream):

@@ -8,8 +8,6 @@ from evcoint.rng import (
     InverseWishartParams,
     MatrixNormalParams,
     RngState,
-    sample_inverse_wishart,
-    sample_matrix_normal,
     sample_wishart,
 )
 
@@ -85,22 +83,6 @@ class TestStreams:
 
 
 class TestInverseGamma:
-    def test_mean_at_a3_b2(self):
-        r = RngState(10)
-        draws = 2.0 / r.gamma_array(3.0, 1_000_000)
-        assert draws.mean() == pytest.approx(1.0, abs=0.01)
-
-    def test_variance_at_a3_b2(self):
-        r = RngState(50)
-        draws = 2.0 / r.gamma_array(3.0, 1_000_000)
-        assert draws.var() == pytest.approx(1.0, rel=0.03)
-
-    def test_ks_against_quadrature(self):
-        r = RngState(12)
-        draws = np.sort(2.0 / r.gamma_array(3.0, 1_000_000))
-        cdf = inverse_gamma_cdf_quadrature(draws, 3.0, 2.0)
-        assert ks_distance(draws, cdf) < 0.002
-
     def test_scalar_sampler_agrees(self):
         # The scalar gamma path of the unit-root chain: sigma^2 = h / Gamma.
         r = RngState(13)
@@ -110,66 +92,12 @@ class TestInverseGamma:
 
 
 class TestMatrixNormal:
-    def test_identity_covs_unit_variance(self):
-        r = RngState(20)
-        params = MatrixNormalParams(mean=np.zeros((2, 3)), row_cov=np.eye(2), col_cov=np.eye(3))
-        draws = np.stack([sample_matrix_normal(r, params) for _ in range(100_000)])
-        np.testing.assert_allclose(draws.var(axis=0), 1.0, rtol=0.01)
-
-    def test_vec_covariance_kronecker(self):
-        r = RngState(21)
-        u = np.array([[2.0, 0.6], [0.6, 1.0]])
-        v = np.array([[1.5, -0.4], [-0.4, 0.8]])
-        params = MatrixNormalParams(mean=np.zeros((2, 2)), row_cov=u, col_cov=v)
-        draws = np.stack([sample_matrix_normal(r, params) for _ in range(100_000)])
-        # column-major vec, covariance V (x) U
-        vecs = draws.reshape(draws.shape[0], 4, order="F")
-        emp = np.cov(vecs.T)
-        np.testing.assert_allclose(emp, np.kron(v, u), rtol=0.03, atol=0.02)
-
-    def test_nonzero_mean_unbiased(self):
-        r = RngState(22)
-        m = np.array([[1.0, -2.0], [0.5, 3.0], [0.0, 4.0]])
-        params = MatrixNormalParams(mean=m, row_cov=np.eye(3), col_cov=np.eye(2))
-        n = 40_000
-        draws = np.stack([sample_matrix_normal(r, params) for _ in range(n)])
-        se = 1.0 / math.sqrt(n)
-        assert np.abs(draws.mean(axis=0) - m).max() < 4.0 * se
-
     def test_param_validation(self):
         with pytest.raises(DimensionMismatch):
             MatrixNormalParams(mean=np.zeros((2, 3)), row_cov=np.eye(3), col_cov=np.eye(3))
 
 
 class TestInverseWishart:
-    def test_scalar_reduction_ks(self):
-        # p = 1 inverse-Wishart(L, nu) is inverse-gamma(nu/2, L/2).
-        r = RngState(30)
-        params = InverseWishartParams(scale=np.array([[4.0]]), dof=10.0)
-        draws = np.sort([sample_inverse_wishart(r, params)[0, 0] for _ in range(400_000)])
-        cdf = inverse_gamma_cdf_quadrature(draws, 5.0, 2.0)
-        assert ks_distance(draws, cdf) < 0.002
-
-    def test_mean_matches_closed_form(self):
-        r = RngState(31)
-        g = np.random.default_rng(0)
-        a = g.normal(size=(3, 3))
-        lam = a @ a.T + 3.0 * np.eye(3)
-        params = InverseWishartParams(scale=lam, dof=20.0)
-        n = 100_000
-        draws = np.zeros((3, 3))
-        all_pd = True
-        for _ in range(n):
-            w = sample_inverse_wishart(r, params)
-            draws += w
-            try:
-                np.linalg.cholesky(w)
-            except np.linalg.LinAlgError:
-                all_pd = False
-        mean = draws / n
-        np.testing.assert_allclose(mean, lam / (20.0 - 3.0 - 1.0), rtol=0.03)
-        assert all_pd
-
     def test_matches_inverted_wishart_oracle(self):
         # Averaging inverses of Wishart(L^-1, nu) draws gives the same mean.
         r = RngState(32)

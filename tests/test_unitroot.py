@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ar1_series, grid_posterior_unitroot
-from evcoint import linalg
+from conftest import ar1_series
 from evcoint import unitroot as ur
 from evcoint.errors import DegenerateRss, NonFiniteInput, SeriesTooShort
 from evcoint.fbst import estimate_evidence
@@ -128,49 +127,6 @@ class TestGibbs:
         a = ur.gibbs_chain(small_unitroot_design, RngState(7, 0), n_draws=200)
         b = ur.gibbs_chain(small_unitroot_design, RngState(7, 1), n_draws=200)
         assert not np.array_equal(a.sigma, b.sigma)
-
-    def test_geweke_marginal_vs_successive(self, small_unitroot_design):
-        """The chain targets a density whose sigma^2 marginal is inverse-gamma
-        with shape (T - k)/2 and scale RSS/2, and psi | sigma is normal around
-        the OLS point.  Drawing directly from that factorization gives an
-        i.i.d. sample whose first two moments must match the Gibbs output."""
-        design = small_unitroot_design
-        coef, _, rss_mat, r = linalg.ols_solve(design.x_full, design.delta_y)
-        psi_hat = coef.ravel()
-        rss_hat = float(rss_mat[0, 0])
-        t = design.effective_t
-        k = psi_hat.size
-        r_inv = np.linalg.inv(r)
-
-        n = 60_000
-        rng = RngState(2024, 1)
-        v = (0.5 * rss_hat) / rng.gamma_array(0.5 * (t - k), n)
-        sigma_mc = np.sqrt(v)
-        z = rng.standard_normal((n, k))
-        psi_mc = psi_hat + sigma_mc[:, None] * (z @ r_inv.T)
-
-        chain = ur.gibbs_chain(design, RngState(2024, 2), n_draws=n + 1000)
-        sigma_sc = chain.sigma[1000:]
-        psi_sc = chain.psi[1000:]
-
-        for mc, sc in [(v, sigma_sc ** 2)] + [
-            (psi_mc[:, j], psi_sc[:, j]) for j in range(k)
-        ]:
-            for moment in (1, 2):
-                a, b = mc ** moment, sc ** moment
-                se = math.sqrt(a.var() / a.size + 3.0 * b.var() / b.size)
-                assert abs(a.mean() - b.mean()) < 4.0 * se
-
-    def test_grid_oracle_evidence(self, small_unitroot_design):
-        design = small_unitroot_design
-        _, _, log_s_star = ur.restricted_map(design)
-        grid_ev, grid_p = grid_posterior_unitroot(design, log_s_star)
-        chain = ur.gibbs_chain(design, RngState(0), n_draws=51_000)
-        lp = ur.chain_log_posterior(chain, design)
-        res = estimate_evidence(log_s_star, lp, burn_in=1_000)
-        assert abs(res.ev - grid_ev) < 0.03
-        g0 = chain.psi[1_000:, design.gamma0_index]
-        assert abs(float(np.mean(g0 >= 0)) - grid_p) < 0.01
 
 
 class TestDirect:
