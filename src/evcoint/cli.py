@@ -154,11 +154,15 @@ def main(argv=None):
         if "seed" not in fields:
             fields["seed"] = _env_seed()
         config = RunConfig(**fields)
-        # The report file is written after the run; fail before it if it cannot be.
-        if output and not os.path.isdir(os.path.dirname(os.path.abspath(output))):
-            raise ConfigError(f"directory of --output {output!r} does not exist")
-        if output and os.path.isdir(output):
-            raise ConfigError(f"--output {output!r} is a directory")
+        if output:
+            # Check before the run; append mode truncates nothing.
+            existed = os.path.lexists(output)
+            try:
+                open(output, "a").close()
+                if not existed:
+                    os.remove(output)
+            except OSError as exc:
+                raise ConfigError(f"cannot write --output {output!r}: {exc.strerror}") from None
         report = run(config)
         text = render(report, config.output_format)
     except InputError as exc:

@@ -18,9 +18,11 @@ import numpy as np
 from . import linalg
 from .errors import EigenFailure, NonFiniteInput, SeriesTooShort
 from .fbst import (
+    CONVENTIONS,
     DEFAULT_BURN_IN,
     DEFAULT_N_DRAWS,
     EvidenceResult,
+    draw_base,
     estimate_evidence,
     ev_from_pvalue,
     vecm_bridge_spec,
@@ -267,12 +269,8 @@ def direct_draws(design, rng, n_draws=DEFAULT_N_DRAWS):
     """
     t, n = design.effective_t, design.spec.n
     k = design.z.shape[1]
-    c = np.column_stack([rng.gamma_array(0.5 * (t - k - i), n_draws, scale=2.0)
-                         for i in range(n)])
-    q = rng.gamma_array(0.5 * (k * n + n * (n - 1) // 2), n_draws, scale=2.0)
-    a = 0.5 * (t + n + 1)
-    return a * (np.log(c).sum(axis=1) - n * (math.log(t + n + 1) - 1.0)) \
-        - 0.5 * (c.sum(axis=1) + q)
+    return draw_base(rng, 0.5 * (t + n + 1), [t - k - i for i in range(n)],
+                     k * n + n * (n - 1) // 2, n_draws)
 
 
 def trace_gaps(eigenvalues):
@@ -356,6 +354,8 @@ def test_rank(
     threshold; the selected rank is the first survivor.
     """
     kind, number = parse_threshold_policy(threshold_policy)
+    if dimension_convention not in CONVENTIONS:
+        raise ValueError(f"unknown dimension convention {dimension_convention!r}")
     design = build_vecm_design(data, spec, start_period_index=start_period_index)
     conc = johansen_concentrate(design)
     t, n = design.effective_t, spec.n

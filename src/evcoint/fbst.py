@@ -2,11 +2,13 @@
 
 Given the log posterior at a stream of draws and the constrained maximum,
 both less the unconstrained maximum in the engines, estimate the e-value
-supporting the hypothesis and its Monte Carlo error.  Also provides the
-asymptotic bridge between likelihood-ratio p-values and e-values.
+supporting the hypothesis and its Monte Carlo error.  Also draws that
+stream for both engines, and provides the asymptotic bridge between
+likelihood-ratio p-values and e-values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -67,6 +69,15 @@ def estimate_evidence(threshold, values, burn_in=0, n_batches=20):
         mc_se=mc_se,
         mc_se_batch=mc_se_batch,
     )
+
+
+def draw_base(rng, a, dofs, q_dof, n_draws):
+    """Both engines' base, a (sum ln c_i - n (ln 2a - 1)) - (sum c_i + q)/2 <= 0,
+    at ``n_draws`` draws of c_i ~ chi2_{dofs[i]}, then q ~ chi2_{q_dof}."""
+    c = np.column_stack([rng.gamma_array(0.5 * dof, n_draws, scale=2.0) for dof in dofs])
+    q = rng.gamma_array(0.5 * q_dof, n_draws, scale=2.0)
+    return a * (np.log(c).sum(axis=1) - len(dofs) * (math.log(2.0 * a) - 1.0)) \
+        - 0.5 * (c.sum(axis=1) + q)
 
 
 @dataclass(frozen=True)

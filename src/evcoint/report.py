@@ -15,13 +15,10 @@ from .cointegration import parse_threshold_policy
 from .errors import ConfigError
 from .fbst import CONVENTIONS, DEFAULT_BURN_IN, DEFAULT_N_DRAWS
 
-#: Report schema.  evcoint/2: the e-values and P(g0 >= 0) come from
-#: independent draws of the exact posterior instead of a Gibbs chain.
-#: evcoint/3: each draw is compared with a threshold computed from the
-#: ADF t-ratio or the trace statistic (no margin); the unit-root row carries
-#: ``log_s_star`` and its separate ``evidence`` block is gone; rank rows
-#: carry ``trace_stat``.
-SCHEMA = "evcoint/3"
+#: Report schema.  evcoint/4: the unit root draws its base from the rank
+#: test's chi-square sampler and reports P(g0 >= 0) as the exact Student-t
+#: CDF.  README "Reproducible sampling" says what each version changed.
+SCHEMA = "evcoint/4"
 
 
 @dataclass

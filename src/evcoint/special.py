@@ -1,6 +1,6 @@
-"""Chi-square distribution function and quantile.
+"""Chi-square distribution function and quantile; Student-t distribution function.
 
-The CDF goes through the regularized lower incomplete gamma function,
+The chi-square CDF goes through the regularized lower incomplete gamma function,
 evaluated by its power series for small arguments and by the Lentz
 continued fraction otherwise.  The quantile brackets the root and polishes
 it with Newton steps on the CDF.
@@ -8,6 +8,7 @@ it with Newton steps on the CDF.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 _MAX_ITER = 500
 _EPS = 1e-15
@@ -118,3 +119,24 @@ def chi2_quantile(p, df):
         if hi - lo < 1e-14 * max(1.0, hi):
             break
     return x
+
+
+def student_t_cdf(x, df):
+    """P(X <= x) for a Student-t variable with an integer ``df`` >= 1, by the
+    finite series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df)
+    in theta = atan(x / sqrt(df)) and cos^2 theta = df / (df + x^2)."""
+    if not isinstance(df, Integral) or df < 1:
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df!r}")
+    cos2 = df / (df + x * x)
+    sin = x / math.sqrt(df + x * x)
+    odd = df % 2
+    term = total = 1.0
+    for j in range(1, df // 2):
+        term *= cos2 * (2 * j - 1 + odd) / (2 * j + odd)
+        total += term
+    if not odd:
+        return 0.5 + 0.5 * sin * total
+    theta = math.atan2(x, math.sqrt(df))
+    if df > 1:
+        theta += sin * math.sqrt(cos2) * total
+    return 0.5 + theta / math.pi

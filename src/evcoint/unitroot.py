@@ -7,8 +7,8 @@ The model is the differenced autoregression
 with the sharp hypothesis g0 = 0.  The posterior under the 1/sigma prior is
 normal-inverse-gamma around the OLS point.  The e-value counts independent
 posterior draws above the constrained maximum, which the ADF t-ratio fixes
-(RSS_r/RSS = 1 + t^2/(T-k)).  The paper's Gibbs chain over
-(psi, sigma) stays as the reference sampler.
+(RSS_r/RSS = 1 + t^2/(T-k)), and P(g0 >= 0 | y) is the Student-t CDF at
+it.  The paper's Gibbs chain over (psi, sigma) stays as the reference sampler.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateRss, NonFiniteInput, SeriesTooShort
-from .fbst import DEFAULT_BURN_IN, DEFAULT_N_DRAWS, EvidenceResult, estimate_evidence
+from .fbst import DEFAULT_BURN_IN, DEFAULT_N_DRAWS, EvidenceResult, draw_base, estimate_evidence
+from .special import student_t_cdf
 
 #: Smallest usable sample: below p + MIN_EXTRA observations the inverse-gamma
 #: conditional is nearly improper and the test is meaningless.
@@ -200,24 +201,11 @@ def chain_log_posterior(chain, design):
 
 
 def direct_draws(design, rng, n_draws=DEFAULT_N_DRAWS):
-    """Independent draws from the exact posterior, reduced to what a run
-    needs: ``(base, g0)``, one value of each per draw.
-
-    u = RSS/(2 sigma^2) ~ Gamma((T-k)/2) is sigma's marginal, and given
-    sigma, psi = psi_hat + sigma R^-1 z with z ~ N(0, I_k).  Then
-    RSS(psi)/(2 sigma^2) = u + |z|^2/2, and the base, the log posterior
-    less its maximum, is ((T+1)/2)(ln(2u/(T+1)) + 1) - u - |z|^2/2.
-    """
+    """The base at independent posterior draws: with c = RSS/sigma^2 ~ chi2_{T-k}
+    and psi - psi_hat = sigma R^-1 z, q = |z|^2 ~ chi2_k, the kernel of
+    ``log_posterior`` is a ln(c/RSS) - (c + q)/2 with a = (T+1)/2."""
     t, k = design.x_full.shape
-    u = rng.gamma_array(0.5 * (t - k), n_draws)
-    z = rng.standard_normal((n_draws, k))
-    half = 0.5 * (t + 1)
-    base = half * (np.log(u / half) + 1.0) - u - 0.5 * np.einsum("ij,ij->i", z, z)
-    fit = design.fit
-    sigma = np.sqrt(float(fit.rss[0, 0]) / (2.0 * u))
-    g = design.gamma0_index
-    g0 = fit.coef[g, 0] + sigma * (z @ np.linalg.inv(fit.r)[g])
-    return base, g0
+    return draw_base(rng, 0.5 * (t + 1), [t - k], k, n_draws)
 
 
 @dataclass(frozen=True)
@@ -252,19 +240,18 @@ def tangent_threshold(adf_stat, t, k):
 
 def test_unit_root(series, spec, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
     """Full unit-root run: e-value, posterior P(g0 >= 0) and the ADF t-ratio.
-    The e-value is a function of t_ADF^2 and (T, k)."""
+    The e-value is a function of t_ADF^2 and (T, k); g0's marginal posterior
+    is Student-t, so P(g0 >= 0) = F_{T-k}(t_ADF) exactly."""
     design = build_design(series, spec)
     adf_stat = adf_statistic(design)
     t, k = design.x_full.shape
     threshold = tangent_threshold(adf_stat, t, k)
-    base, g0 = direct_draws(design, rng, n_draws=n_draws)
-    evidence = estimate_evidence(threshold, base, burn_in=burn_in)
-    p_nonstationary = float(np.mean(g0[burn_in:] >= 0.0))
+    evidence = estimate_evidence(threshold, direct_draws(design, rng, n_draws), burn_in=burn_in)
     sigma_map = math.sqrt(float(design.fit.rss[0, 0]) / (t + 1))
     return UnitRootResult(
         evidence=evidence,
         log_s_star=-(t + 1) * math.log(sigma_map) - 0.5 * (t + 1) + threshold,
-        p_nonstationary=p_nonstationary,
+        p_nonstationary=student_t_cdf(adf_stat, t - k),
         adf_stat=adf_stat,
         psi_hat=design.fit.coef.ravel(),
         sigma_map=sigma_map,

@@ -341,6 +341,14 @@ class TestRankTest:
                          n_draws=2000, burn_in=200, threshold_policy="bogus")
         assert ols_design_widths == []
 
+    @pytest.mark.parametrize("policy", ["fixed:0.05", "bridge:p=0.01"])
+    def test_bad_dimension_convention_rejected_before_any_fit(self, ols_design_widths, policy):
+        with pytest.raises(ValueError, match="dimension convention"):
+            co.test_rank(cointegrated_pair(seed=5, n=200), co.VecmSpec(n=2, p=2), RngState(10),
+                         n_draws=2000, burn_in=200, threshold_policy=policy,
+                         dimension_convention="bogus")
+        assert ols_design_widths == []
+
     def test_nested_evidence_and_full_rank_certainty(self):
         report = co.test_rank(
             cointegrated_pair(), co.VecmSpec(n=2, p=1), RngState(8),

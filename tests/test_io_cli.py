@@ -185,7 +185,7 @@ class TestCliUnitroot:
         code, out, err = run_cli(["unitroot", series_csv, "-p", "2"] + self.ARGS, capsys)
         assert code == 0, err
         report = json.loads(out)
-        assert report["schema"] == "evcoint/3"
+        assert report["schema"] == "evcoint/4"
         assert report["engine"] == "unitroot"
         assert "evidence" not in report
         row = report["rows"][0]
@@ -319,6 +319,7 @@ class TestCliCoint:
         ([], "-5"),
         (["--output", "{tmp}/missing/report.json"], None),
         (["--output", "{tmp}"], None),
+        (["--output", "{tmp}/" + "a" * 300], None),
         (["--no-such-flag"], None),
         (["--dimension-convention", "foo"], None),
         (["--n-draws", "abc"], None),
@@ -326,7 +327,7 @@ class TestCliCoint:
             "env-seed-abc",
             "delimiter-empty", "delimiter-two-chars", "seed-negative", "stream-negative",
             "env-seed-negative", "output-dir-missing", "output-is-directory",
-            "unknown-flag", "convention-choice", "n-draws-not-int"])
+            "output-name-too-long", "unknown-flag", "convention-choice", "n-draws-not-int"])
     def test_exit_4_on_config_error(self, pair_csv, tmp_path, capsys, monkeypatch, args,
                                     env_seed):
         def no_sampling(*_, **__):
@@ -342,6 +343,20 @@ class TestCliCoint:
         code, out, err = run_cli(argv, capsys)
         assert code == 4 and "config error" in err and out == ""
         assert not (tmp_path / "missing").exists()
+        if "--output" in args:
+            assert repr(argv[-1]) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.csv"]
+
+    @pytest.mark.parametrize("existing", [None, "an earlier report\n"])
+    def test_failed_run_leaves_the_output_file_as_it_was(self, pair_csv, tmp_path, capsys,
+                                                          existing):
+        target = tmp_path / "report.json"
+        if existing is not None:
+            target.write_text(existing)
+        code, _, _ = run_cli(["coint", pair_csv, "-p", "0", "--output", str(target)] + self.ARGS,
+                             capsys)
+        assert code == 4
+        assert (target.read_text() if target.exists() else None) == existing
 
     @pytest.mark.parametrize("engine, columns", [
         ("coint", ["a", "a"]), ("coint", ["a", "0"]), ("unitroot", ["a", "a"]),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evcoint.special import chi2_cdf, chi2_pdf, chi2_quantile, gammainc_lower
+from evcoint.special import chi2_cdf, chi2_pdf, chi2_quantile, gammainc_lower, student_t_cdf
 
 
 class TestGammaincLower:
@@ -95,3 +95,19 @@ class TestChi2Quantile:
             chi2_quantile(-0.1, 3)
         with pytest.raises(ValueError):
             chi2_quantile(0.5, 0)
+
+
+class TestStudentTCdf:
+    def test_against_scipy(self):
+        from scipy import stats
+
+        xs = np.linspace(-40.0, 40.0, 641)
+        for df in (*range(1, 61), 119, 120, 1000, 1001, 10491):
+            got = np.array([student_t_cdf(x, df) for x in xs])
+            np.testing.assert_allclose(got, stats.t.cdf(xs, df), rtol=0.0, atol=1e-12,
+                                       err_msg=f"df={df}")
+
+    @pytest.mark.parametrize("df", [0, -3, 2.5, 0.5])
+    def test_df_must_be_an_integer_at_least_one(self, df):
+        with pytest.raises(ValueError):
+            student_t_cdf(0.5, df)

@@ -138,23 +138,24 @@ class TestDirect:
                                  ur.UnitRootSpec(p=p, include_trend=trend,
                                                  include_intercept=intercept))
         n = 300
-        base, g0 = ur.direct_draws(design, RngState(p, 4), n_draws=n)
+        base = ur.direct_draws(design, RngState(p, 4), n_draws=n)
         # base - threshold is the log posterior minus the restricted maximum,
         # with the threshold that test_unit_root reads off the ADF t-ratio.
         t, k = design.x_full.shape
         threshold = ur.tangent_threshold(ur.adf_statistic(design), t, k)
         _, _, log_s_star = ur.restricted_map(design)
-        # The same variates, turned into literal (psi, sigma) draws.
+        # Literal (psi, sigma) draws from the same chi-squares: the kernel
+        # depends on z only through q = |z|^2, so z = sqrt(q) e_1 will do.
         rng = RngState(p, 4)
         coef, _, rss, r = design.fit
-        u = rng.gamma_array(0.5 * (t - k), n)
-        z = rng.standard_normal((n, k))
-        sigma = np.sqrt(float(rss[0, 0]) / (2.0 * u))
-        psi = coef.ravel() + sigma[:, None] * np.linalg.solve(r, z.T).T
+        c = rng.gamma_array(0.5 * (t - k), n, scale=2.0)
+        q = rng.gamma_array(0.5 * k, n, scale=2.0)
+        sigma = np.sqrt(float(rss[0, 0]) / c)
+        e1 = np.linalg.solve(r, np.eye(k)[0])
         for i in range(n):
-            want = ur.log_posterior(ur.UnitRootDraw(psi=psi[i], sigma=sigma[i]), design)
+            psi = coef.ravel() + sigma[i] * math.sqrt(q[i]) * e1
+            want = ur.log_posterior(ur.UnitRootDraw(psi=psi, sigma=sigma[i]), design)
             assert abs(base[i] - threshold - (want - log_s_star)) <= 1e-12 * abs(want)
-        np.testing.assert_allclose(g0, psi[:, design.gamma0_index], rtol=1e-10, atol=1e-14)
 
     def test_agrees_with_gibbs(self):
         design = ur.build_design(ar1_series(seed=30, n=50),
@@ -169,15 +170,17 @@ class TestDirect:
 
     def test_p_nonstationary_is_the_student_t_tail(self):
         # The marginal posterior of g0 is Student-t with T - k degrees of
-        # freedom around the OLS point, so P(g0 >= 0) = F_{T-k}(t_ADF).
+        # freedom around the OLS point, so P(g0 >= 0) = F_{T-k}(t_ADF),
+        # whatever the seed and the burn-in.
         from scipy import stats
 
-        res = ur.test_unit_root(ar1_series(seed=30, n=50),
-                                ur.UnitRootSpec(p=2, include_trend=True), RngState(5),
-                                n_draws=41_000, burn_in=1_000)
+        y, spec = ar1_series(seed=30, n=50), ur.UnitRootSpec(p=2, include_trend=True)
+        res, other = (ur.test_unit_root(y, spec, RngState(seed), n_draws=41_000, burn_in=burn_in)
+                      for seed, burn_in in ((5, 1_000), (6, 3_000)))
         t, k = res.design.x_full.shape
         exact = float(stats.t.cdf(res.adf_stat, t - k))
-        assert abs(res.p_nonstationary - exact) < 4.0 * math.sqrt(exact * (1 - exact) / 40_000)
+        assert abs(res.p_nonstationary - exact) < 1e-12
+        assert other.p_nonstationary == res.p_nonstationary
 
 
 class TestAdfStatistic:
