@@ -16,8 +16,6 @@ from .fbst import CONVENTIONS
 from .report import RunConfig, rank_report, render, unitroot_report
 from .rng import RngState
 
-SEED_ENV_VAR = "EVCOINT_SEED"
-
 
 def run(config):
     """Execute one configured run and return the report dictionary."""
@@ -29,7 +27,7 @@ def run(config):
         delimiter=config.delimiter,
         skip_index_column=config.skip_index_column,
     )
-    rng = RngState(config.seed, config.stream)
+    rng = RngState(config.seed)
     start = time.perf_counter()
     if config.engine == "unitroot":
         if data.n_series != 1:
@@ -52,14 +50,13 @@ def run(config):
         include_constant=config.include_constant,
         n_seasonal_dummies=config.n_seasonal_dummies,
         dummy_period=config.dummy_period,
-        centered_dummies=config.centered_dummies,
+        start_period_index=config.start_period_index,
     )
     result = cointegration.test_rank(
         data.values, spec, rng,
         n_draws=config.n_draws, burn_in=config.burn_in,
         threshold_policy=config.threshold_policy,
         dimension_convention=config.dimension_convention,
-        start_period_index=config.start_period_index,
     )
     return rank_report(config, result, time.perf_counter() - start)
 
@@ -70,15 +67,6 @@ def _spec(cls, **fields):
         return cls(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _env_seed():
-    """The seed when ``--seed`` is absent: ``$EVCOINT_SEED``, else 0."""
-    value = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def _delimiter(text):
@@ -96,10 +84,7 @@ def _add_common(parser):
                         help="ignore a leading time-index column")
     parser.add_argument("--n-draws", type=int)
     parser.add_argument("--burn-in", type=int)
-    parser.add_argument("--seed", type=int,
-                        help=f"master seed (default: ${SEED_ENV_VAR}, else 0)")
-    parser.add_argument("--stream", type=int,
-                        help="random sub-stream id derived from the seed")
+    parser.add_argument("--seed", type=int, help="master seed (default 0)")
     parser.add_argument("--format", choices=["json", "csv", "markdown"], dest="output_format")
     parser.add_argument("--output", help="also write the report to this file")
 
@@ -138,7 +123,6 @@ def build_parser():
     co.add_argument("--dummies", type=int, dest="n_seasonal_dummies",
                     help="number of seasonal dummy columns")
     co.add_argument("--dummy-period", type=int)
-    co.add_argument("--centered-dummies", action="store_true")
     co.add_argument("--start-period-index", type=int,
                     help="period (0-based) of the first raw observation")
     co.add_argument("--threshold-policy",
@@ -151,10 +135,8 @@ def main(argv=None):
     try:
         fields = vars(build_parser().parse_args(argv))
         output = fields.pop("output", None)
-        if "seed" not in fields:
-            fields["seed"] = _env_seed()
         config = RunConfig(**fields)
-        if output:
+        if output is not None:
             # Check before the run; append mode truncates nothing.
             existed = os.path.lexists(output)
             try:
@@ -175,7 +157,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 4
     sys.stdout.write(text)
-    if output:
+    if output is not None:
         with open(output, "w") as fh:
             fh.write(text)
     return 0

@@ -43,7 +43,7 @@ class VecmSpec:
     include_constant: bool = True
     n_seasonal_dummies: int = 0
     dummy_period: int = 4
-    centered_dummies: bool = False
+    start_period_index: int = 0
 
     def __post_init__(self):
         if self.n < 2:
@@ -79,15 +79,14 @@ class CointDraw:
     omega: np.ndarray  # n x n positive definite
 
 
-def build_vecm_design(data, spec, start_period_index=0):
+def build_vecm_design(data, spec):
     """Stack the VECM matrices for an (observations x series) data array.
 
     Deterministic columns come first (constant, then seasonal dummies), the
     lagged differences next and the lagged levels last, so that dropping the
     final n columns yields the short-run-only regressor block.  Seasonal
     dummy j is the indicator of period j, where the raw observation at index
-    i belongs to period ``(start_period_index + i) mod dummy_period``;
-    centered dummies subtract 1/dummy_period when enabled.
+    i belongs to period ``(spec.start_period_index + i) mod spec.dummy_period``.
     """
     y = np.asarray(data, dtype=float)
     if y.ndim != 2 or y.shape[1] != spec.n:
@@ -109,12 +108,9 @@ def build_vecm_design(data, spec, start_period_index=0):
         names.append("const")
     if spec.n_seasonal_dummies:
         rows = np.arange(p, y.shape[0])
-        period = (start_period_index + rows) % spec.dummy_period
+        period = (spec.start_period_index + rows) % spec.dummy_period
         for j in range(spec.n_seasonal_dummies):
-            d = (period == j).astype(float)
-            if spec.centered_dummies:
-                d = d - 1.0 / spec.dummy_period
-            blocks.append(d.reshape(-1, 1))
+            blocks.append((period == j).astype(float).reshape(-1, 1))
             names.append(f"season{j + 1}")
     for j in range(1, p):
         blocks.append(dy[p - 1 - j:-j])
@@ -306,7 +302,6 @@ class RankTestReport:
     selected_rank: int
     threshold_policy: str
     dimension_convention: str
-    dummy_coding: str
 
 
 def parse_threshold_policy(policy):
@@ -342,7 +337,6 @@ def test_rank(
     burn_in=DEFAULT_BURN_IN,
     threshold_policy="bridge:p=0.01",
     dimension_convention="paper-literal",
-    start_period_index=0,
 ):
     """Sequential rank test over one shared stream of posterior draws.
 
@@ -356,7 +350,7 @@ def test_rank(
     kind, number = parse_threshold_policy(threshold_policy)
     if dimension_convention not in CONVENTIONS:
         raise ValueError(f"unknown dimension convention {dimension_convention!r}")
-    design = build_vecm_design(data, spec, start_period_index=start_period_index)
+    design = build_vecm_design(data, spec)
     conc = johansen_concentrate(design)
     t, n = design.effective_t, spec.n
     k = design.z.shape[1]
@@ -402,5 +396,4 @@ def test_rank(
         selected_rank=selected,
         threshold_policy=threshold_policy,
         dimension_convention=dimension_convention,
-        dummy_coding="centered" if spec.centered_dummies else "indicator",
     )

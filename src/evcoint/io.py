@@ -2,7 +2,9 @@
 
 Strict by design: a header row is required, cells must parse as numbers
 with a '.' decimal point, and missing values are rejected rather than
-imputed.  An optional leading time-index column can be skipped.
+imputed.  An optional leading time-index column can be skipped.  Files are
+read as UTF-8; a leading byte-order mark, as spreadsheets write it, is
+dropped.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ def read_csv(path, columns=None, transform="none", delimiter=",", skip_index_col
     if transform not in ("none", "log"):
         raise InputError(f"unknown transform {transform!r}")
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh, delimiter=delimiter))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None

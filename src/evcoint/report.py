@@ -15,10 +15,10 @@ from .cointegration import parse_threshold_policy
 from .errors import ConfigError
 from .fbst import CONVENTIONS, DEFAULT_BURN_IN, DEFAULT_N_DRAWS
 
-#: Report schema.  evcoint/4: the unit root draws its base from the rank
-#: test's chi-square sampler and reports P(g0 >= 0) as the exact Student-t
-#: CDF.  README "Reproducible sampling" says what each version changed.
-SCHEMA = "evcoint/4"
+#: Report schema.  evcoint/5: the config echo has no ``stream`` or
+#: ``centered_dummies`` and the rank report no ``dummy_coding``.  README
+#: "Reproducible sampling" says what each version changed.
+SCHEMA = "evcoint/5"
 
 
 @dataclass
@@ -35,12 +35,10 @@ class RunConfig:
     include_constant: bool = True
     n_seasonal_dummies: int = 0
     dummy_period: int = 4
-    centered_dummies: bool = False
     start_period_index: int = 0
     n_draws: int = DEFAULT_N_DRAWS
     burn_in: int = DEFAULT_BURN_IN
     seed: int = 0
-    stream: int = 0
     threshold_policy: str = "bridge:p=0.01"
     dimension_convention: str = "paper-literal"
     output_format: str = "json"        # "json" | "csv" | "markdown"
@@ -60,8 +58,8 @@ class RunConfig:
             raise ConfigError(f"lag order p must be >= 1, got {self.p}")
         if len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
-        if self.seed < 0 or self.stream < 0:
-            raise ConfigError(f"seed and stream must be >= 0, got {self.seed}, {self.stream}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.engine == "coint":
             try:
                 parse_threshold_policy(self.threshold_policy)
@@ -112,7 +110,6 @@ def rank_report(config, report, wall_clock_s):
         selected_rank=report.selected_rank,
         threshold_policy=report.threshold_policy,
         dimension_convention=report.dimension_convention,
-        dummy_coding=report.dummy_coding,
     )
 
 

@@ -6,9 +6,11 @@ The raw source is the PCG64 counter-based generator seeded through
 normals, Marsaglia-Tsang gammas, Bartlett Wisharts) is built here on top of
 that stream and fixed permanently.  Draws are bit-identical for a fixed
 ``(seed, stream)`` on a given numpy build and SIMD dispatch: the normals
-use numpy's ``log``/``sqrt``/``cos``/``sin`` kernels and the gamma
-acceptance test uses ``math.log``, and ``tests/test_reproducibility.py``
-pins the streams to golden hashes.
+use numpy's ``log``/``sqrt``/``cos``/``sin`` kernels; the batched gammas of
+``RngState.gamma_array``, the only sampler on the CLI path, use ``np.log``
+in their acceptance test, and the scalar ``RngState.gamma`` (the reference
+chains and ``_bartlett_factor``) uses ``math.log``.
+``tests/test_reproducibility.py`` pins the streams to golden hashes.
 """
 from __future__ import annotations
 

@@ -62,12 +62,8 @@ def read_columns_with_na(path):
     return out
 
 
-def run_rank_test(data, spec, seed_stream, start_period_index=0):
-    return co.test_rank(
-        data, spec, RngState(0, seed_stream),
-        n_draws=N_DRAWS, burn_in=BURN_IN,
-        start_period_index=start_period_index,
-    )
+def run_rank_test(data, spec, seed_stream):
+    return co.test_rank(data, spec, RngState(0, seed_stream), n_draws=N_DRAWS, burn_in=BURN_IN)
 
 
 def check_rank_golden(report, max_eig_expected, ev_expected, max_eig_rtol=None,
@@ -152,8 +148,8 @@ def test_criterion_2_finnish_golden_run():
     data = np.column_stack([columns[c] for c in ("lrm1", "lny", "lnmr", "difp")])
     assert data.shape[0] == 106
     spec = co.VecmSpec(n=4, p=2, include_constant=True,
-                       n_seasonal_dummies=3, dummy_period=4)
-    report = run_rank_test(data, spec, seed_stream=100, start_period_index=1)
+                       n_seasonal_dummies=3, dummy_period=4, start_period_index=1)
+    report = run_rank_test(data, spec, seed_stream=100)
     check_rank_golden(
         report,
         max_eig_expected=[38.489, 26.642, 7.8924],

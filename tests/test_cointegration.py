@@ -61,9 +61,9 @@ class TestSpecAndDesign:
 
     def test_seasonal_dummy_phase(self):
         data = random_walks(n=41, dim=2)
-        spec = co.VecmSpec(n=2, p=1, n_seasonal_dummies=3, dummy_period=4)
-        d0 = co.build_vecm_design(data, spec, start_period_index=0)
-        d1 = co.build_vecm_design(data, spec, start_period_index=1)
+        layout = dict(n=2, p=1, n_seasonal_dummies=3, dummy_period=4)
+        d0 = co.build_vecm_design(data, co.VecmSpec(**layout))
+        d1 = co.build_vecm_design(data, co.VecmSpec(**layout, start_period_index=1))
         # Raw row p has period (start + p) mod 4.
         assert d0.z[0, 1] == (1.0 if (0 + 1) % 4 == 0 else 0.0)
         assert d1.z[0, 1] == (1.0 if (1 + 1) % 4 == 0 else 0.0)
@@ -71,14 +71,6 @@ class TestSpecAndDesign:
         assert d0.z[:, 1].mean() == pytest.approx(0.25, abs=0.02)
         # Shifting the start by one rotates the dummy pattern.
         np.testing.assert_array_equal(d1.z[:-1, 1], d0.z[1:, 1])
-
-    def test_centered_dummies(self):
-        data = random_walks(n=41, dim=2)
-        spec = co.VecmSpec(
-            n=2, p=1, n_seasonal_dummies=3, dummy_period=4, centered_dummies=True
-        )
-        d = co.build_vecm_design(data, spec)
-        assert set(np.round(np.unique(d.z[:, 1]), 10)) == {-0.25, 0.75}
 
     def test_too_short_and_non_finite(self):
         with pytest.raises(SeriesTooShort):
@@ -411,11 +403,9 @@ class TestRankTest:
     def test_report_metadata(self):
         report = co.test_rank(
             cointegrated_pair(seed=6, n=150),
-            co.VecmSpec(n=2, p=1, n_seasonal_dummies=1, dummy_period=4,
-                        centered_dummies=True),
+            co.VecmSpec(n=2, p=1, n_seasonal_dummies=1, dummy_period=4),
             RngState(11), n_draws=3000, burn_in=300,
         )
-        assert report.dummy_coding == "centered"
         assert report.threshold_policy == "bridge:p=0.01"
         assert report.dimension_convention == "paper-literal"
         assert len(report.hypotheses) == 3

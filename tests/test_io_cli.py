@@ -58,6 +58,12 @@ class TestReadCsv:
         m = io.read_csv(path, transform="log")
         np.testing.assert_allclose(m.values.ravel(), [0, 1, 2], atol=1e-12)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        (tmp_path / "m.csv").write_bytes("y,x\n1,2\n3,4\n".encode("utf-8-sig"))
+        m = io.read_csv(tmp_path / "m.csv", columns=["y"])
+        assert m.column_names == ("y",)
+        np.testing.assert_array_equal(m.values.ravel(), [1, 3])
+
     def test_column_selection_by_name_and_index(self, tmp_path):
         path = write_csv(tmp_path / "m.csv", ["x", "y", "z"], [[1, 2, 3], [4, 5, 6]])
         by_name = io.read_csv(path, columns=["z", "x"])
@@ -152,9 +158,8 @@ class TestRunConfig:
             with pytest.raises(ConfigError):
                 RunConfig(input_path="x.csv", engine="coint", delimiter=delimiter).validate()
         RunConfig(input_path="x.csv", engine="coint", delimiter="\t").validate()
-        for fields in ({"seed": -1}, {"stream": -1}):
-            with pytest.raises(ConfigError):
-                RunConfig(input_path="x.csv", engine="unitroot", **fields).validate()
+        with pytest.raises(ConfigError):
+            RunConfig(input_path="x.csv", engine="unitroot", seed=-1).validate()
 
     def test_render_formats(self):
         report = {"rows": [{"ev": 0.123456789, "rejected": False}]}
@@ -185,7 +190,7 @@ class TestCliUnitroot:
         code, out, err = run_cli(["unitroot", series_csv, "-p", "2"] + self.ARGS, capsys)
         assert code == 0, err
         report = json.loads(out)
-        assert report["schema"] == "evcoint/4"
+        assert report["schema"] == "evcoint/5"
         assert report["engine"] == "unitroot"
         assert "evidence" not in report
         row = report["rows"][0]
@@ -225,11 +230,12 @@ class TestCliUnitroot:
         assert code == 0
         assert target.read_text() == out
 
-    def test_seed_env_var(self, series_csv, capsys, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "99")
+    def test_seed_defaults_to_0(self, series_csv, capsys, monkeypatch):
+        # The environment does not set the seed.
+        monkeypatch.setenv("EVCOINT_SEED", "99")
         _, out, _ = run_cli(["unitroot", series_csv, "--n-draws", "2000",
                              "--burn-in", "200"], capsys)
-        assert json.loads(out)["config"]["seed"] == 99
+        assert json.loads(out)["config"]["seed"] == 0
 
     def test_exit_2_on_input_errors(self, tmp_path, capsys):
         code, _, err = run_cli(["unitroot", str(tmp_path / "none.csv")], capsys)
@@ -305,46 +311,43 @@ class TestCliCoint:
         assert replay["rows"] == report["rows"]
         assert replay["eigenvalues"] == report["eigenvalues"]
 
-    @pytest.mark.parametrize("args, env_seed", [
-        (["-p", "0"], None),
-        (["--dummies", "5", "--dummy-period", "4"], None),
-        (["--threshold-policy", "bogus"], None),
-        (["--threshold-policy", "bridge:p=2"], None),
-        (["--threshold-policy", "bridge:p=1e-17"], None),
-        ([], "abc"),
-        (["--delimiter", ""], None),
-        (["--delimiter", ";;"], None),
-        (["--seed", "-1"], None),
-        (["--stream", "-1"], None),
-        ([], "-5"),
-        (["--output", "{tmp}/missing/report.json"], None),
-        (["--output", "{tmp}"], None),
-        (["--output", "{tmp}/" + "a" * 300], None),
-        (["--no-such-flag"], None),
-        (["--dimension-convention", "foo"], None),
-        (["--n-draws", "abc"], None),
+    @pytest.mark.parametrize("args", [
+        ["-p", "0"],
+        ["--dummies", "5", "--dummy-period", "4"],
+        ["--threshold-policy", "bogus"],
+        ["--threshold-policy", "bridge:p=2"],
+        ["--threshold-policy", "bridge:p=1e-17"],
+        ["--delimiter", ""],
+        ["--delimiter", ";;"],
+        ["--seed", "-1"],
+        ["--stream", "1"],
+        ["--centered-dummies"],
+        ["--output", ""],
+        ["--output", "{tmp}/missing/report.json"],
+        ["--output", "{tmp}"],
+        ["--output", "{tmp}/" + "a" * 300],
+        ["--no-such-flag"],
+        ["--dimension-convention", "foo"],
+        ["--n-draws", "abc"],
     ], ids=["p0", "dummies-ge-period", "policy-bogus", "bridge-p2", "bridge-p-tiny",
-            "env-seed-abc",
-            "delimiter-empty", "delimiter-two-chars", "seed-negative", "stream-negative",
-            "env-seed-negative", "output-dir-missing", "output-is-directory",
-            "output-name-too-long", "unknown-flag", "convention-choice", "n-draws-not-int"])
-    def test_exit_4_on_config_error(self, pair_csv, tmp_path, capsys, monkeypatch, args,
-                                    env_seed):
+            "delimiter-empty", "delimiter-two-chars", "seed-negative", "stream-flag",
+            "centered-dummies-flag", "output-empty", "output-dir-missing",
+            "output-is-directory", "output-name-too-long", "unknown-flag",
+            "convention-choice", "n-draws-not-int"])
+    def test_exit_4_on_config_error(self, pair_csv, tmp_path, capsys, monkeypatch, args):
         def no_sampling(*_, **__):
             raise AssertionError("sampling started before the configuration was checked")
 
         monkeypatch.setattr(cointegration, "direct_draws", no_sampling)
-        argv = ["coint", pair_csv, "--n-draws", "3000", "--burn-in", "300"]
-        if env_seed is None:
-            argv += ["--seed", "5"]
-        else:
-            monkeypatch.setenv(cli.SEED_ENV_VAR, env_seed)
+        argv = ["coint", pair_csv, "--n-draws", "3000", "--burn-in", "300", "--seed", "5"]
         argv += [a.format(tmp=tmp_path) for a in args]
         code, out, err = run_cli(argv, capsys)
         assert code == 4 and "config error" in err and out == ""
         assert not (tmp_path / "missing").exists()
         if "--output" in args:
             assert repr(argv[-1]) in err
+        if args[0] in ("--stream", "--centered-dummies", "--no-such-flag"):
+            assert args[0] in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.csv"]
 
     @pytest.mark.parametrize("existing", [None, "an earlier report\n"])

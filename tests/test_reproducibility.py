@@ -171,8 +171,8 @@ GOLDEN = {
     "vecm_direct_n2": "bae7acbae4a4234096b2ee40b63ec650f664e8020e9d229f0832dc514f2bb4ee",
     "vecm_direct_n4_dummies": "60cac7d7ae7f1d486d231954e3df223a9e501e1e761df4bfdec7f533540bd774",
     "scalars_after_chain": "50bc3dc78c2f47c7a7e0e1313f446c7cf9565d5a3cc1f3c3728411cd3f12feab",
-    "report_unitroot": "4c5165f18a6f6262f09a9fe37b5183da9ed11a41cbdde74a2414d81d9f87bfc6",
-    "report_rank_bridge": "9c559f77a30ebd5c85965456e3bf2078f6037aa301578f3b6e0079b8ffdcec13",
+    "report_unitroot": "c45161cc8ffc3ecd2078e76b4657c03cae66357461b32dc7e711783f2bf47903",
+    "report_rank_bridge": "c0cf917ea8ab71534a50c79d1810458f185390afff1e18df93d267164b9b603c",
 }
 
 
