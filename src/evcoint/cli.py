@@ -14,7 +14,6 @@ from . import cointegration, io, unitroot
 from .errors import ConfigError, InputError, NumericError
 from .fbst import CONVENTIONS
 from .report import RunConfig, rank_report, render, unitroot_report
-from .rng import RngState
 
 
 def run(config):
@@ -27,7 +26,6 @@ def run(config):
         delimiter=config.delimiter,
         skip_index_column=config.skip_index_column,
     )
-    rng = RngState(config.seed)
     start = time.perf_counter()
     if config.engine == "unitroot":
         if data.n_series != 1:
@@ -38,10 +36,7 @@ def run(config):
             include_trend=config.include_trend,
             include_intercept=config.include_intercept,
         )
-        result = unitroot.test_unit_root(
-            data.values[:, 0], spec, rng,
-            n_draws=config.n_draws, burn_in=config.burn_in,
-        )
+        result = unitroot.test_unit_root(data.values[:, 0], spec)
         return unitroot_report(config, result, time.perf_counter() - start)
     spec = _spec(
         cointegration.VecmSpec,
@@ -53,8 +48,7 @@ def run(config):
         start_period_index=config.start_period_index,
     )
     result = cointegration.test_rank(
-        data.values, spec, rng,
-        n_draws=config.n_draws, burn_in=config.burn_in,
+        data.values, spec,
         threshold_policy=config.threshold_policy,
         dimension_convention=config.dimension_convention,
     )
@@ -82,9 +76,10 @@ def _add_common(parser):
                         help="field delimiter (',', ';' or tab)")
     parser.add_argument("--skip-index-column", action="store_true",
                         help="ignore a leading time-index column")
-    parser.add_argument("--n-draws", type=int)
-    parser.add_argument("--burn-in", type=int)
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
+    inert = "; validated and echoed, changes no value (e-values are integrals)"
+    parser.add_argument("--n-draws", type=int, help="draws of earlier versions" + inert)
+    parser.add_argument("--burn-in", type=int, help="burn-in of earlier versions" + inert)
+    parser.add_argument("--seed", type=int, help="seed of earlier versions (>= 0)" + inert)
     parser.add_argument("--format", choices=["json", "csv", "markdown"], dest="output_format")
     parser.add_argument("--output", help="also write the report to this file")
 

@@ -2,10 +2,11 @@
 
 Pipeline: stack the VECM regression, concentrate out the short-run
 dynamics (two auxiliary regressions and a canonical-correlation
-eigenproblem), draw one shared stream of independent posterior draws and
-count, per rank r, the draws above the constrained maximum, which the trace
-statistic T q_r, q_r = -sum_{i>r} ln(1 - lambda_i), fixes.  The paper's
-matrix-normal / inverse-Wishart Gibbs chain stays as the reference sampler.
+eigenproblem), then integrate, per rank r, the posterior mass outside the
+tangent set of the constrained maximum, which the trace statistic T q_r,
+q_r = -sum_{i>r} ln(1 - lambda_i), fixes (``fbst.base_cdf``).  The paper's
+matrix-normal / inverse-Wishart Gibbs chain and the direct sampler stay as
+the reference samplers that the tests compare against.
 """
 from __future__ import annotations
 
@@ -19,11 +20,11 @@ from . import linalg
 from .errors import EigenFailure, NonFiniteInput, SeriesTooShort
 from .fbst import (
     CONVENTIONS,
-    DEFAULT_BURN_IN,
     DEFAULT_N_DRAWS,
-    EvidenceResult,
+    Evidence,
+    base_cdf,
     draw_base,
-    estimate_evidence,
+    estimate_evidence,  # noqa: F401  (perfbench's worker and tracer wrap it under this name)
     ev_from_pvalue,
     vecm_bridge_spec,
 )
@@ -264,9 +265,13 @@ def direct_draws(design, rng, n_draws=DEFAULT_N_DRAWS):
     -a (ln|S| - n ln(2a) + n), so ln|S| cancels from the base.
     """
     t, n = design.effective_t, design.spec.n
-    k = design.z.shape[1]
-    return draw_base(rng, 0.5 * (t + n + 1), [t - k - i for i in range(n)],
-                     k * n + n * (n - 1) // 2, n_draws)
+    return draw_base(rng, *_base_law(t, n, design.z.shape[1]), n_draws)
+
+
+def _base_law(t, n, k):
+    """(a, dofs, q_dof) of the VECM's base: a = (T+n+1)/2, c_i ~ chi2_{T-k-i}
+    and q ~ chi2_{kn + n(n-1)/2}."""
+    return 0.5 * (t + n + 1), [t - k - i for i in range(n)], k * n + n * (n - 1) // 2
 
 
 def trace_gaps(eigenvalues):
@@ -288,7 +293,7 @@ def max_eig_statistic(eigenvalues, t, rank):
 class RankHypothesis:
     rank: int
     log_s_star: float
-    evidence: EvidenceResult
+    evidence: Evidence
     max_eig_stat: float | None
     trace_stat: float | None
     threshold: float | None
@@ -329,23 +334,26 @@ def parse_threshold_policy(policy):
     return kind, number
 
 
-def test_rank(
-    data,
-    spec,
-    rng,
-    n_draws=DEFAULT_N_DRAWS,
-    burn_in=DEFAULT_BURN_IN,
-    threshold_policy="bridge:p=0.01",
-    dimension_convention="paper-literal",
-):
-    """Sequential rank test over one shared stream of posterior draws.
+def evidence_from_eigenvalues(eigenvalues, t, n, k):
+    """The e-values of rank r = 0..n as a function of the eigenvalues and the
+    sizes: ev_r = P(base <= -((T+n+1)/2) q_r) for the base of ``direct_draws``.
 
-    The full posterior is the same for every rank hypothesis (only the
-    constrained maximum changes), so a single stream yields exactly nested
-    tangent-set counts and non-decreasing e-values.  Rank r counts the bases
-    above -((T+n+1)/2) q_r; no base exceeds q_n = 0.  Starting from r = 0,
-    hypotheses are rejected while the e-value stays below the policy
-    threshold; the selected rank is the first survivor.
+    The tangent sets are nested, so the e-values are non-decreasing in r; a
+    running maximum keeps them so where two lie closer than the quadrature
+    error.  No base exceeds q_n = 0, so ev_n is exactly 1.
+    """
+    a, dofs, q_dof = _base_law(t, n, k)
+    evs, errs = base_cdf(-a * trace_gaps(eigenvalues), a, dofs, q_dof)
+    return [Evidence(float(ev), float(err)) for ev, err in zip(np.maximum.accumulate(evs), errs)]
+
+
+def test_rank(data, spec, threshold_policy="bridge:p=0.01", dimension_convention="paper-literal"):
+    """Sequential rank test.
+
+    The full posterior is the same for every rank hypothesis; only the
+    constrained maximum changes, so the e-values are non-decreasing in r.
+    Starting from r = 0, hypotheses are rejected while the e-value stays
+    below the policy threshold; the selected rank is the first survivor.
     """
     kind, number = parse_threshold_policy(threshold_policy)
     if dimension_convention not in CONVENTIONS:
@@ -369,12 +377,11 @@ def test_rank(
                   else ev_from_pvalue(number, vecm_bridge_spec(n, k, r, dimension_convention))
                   for r in range(n)] + [None]
     gaps = trace_gaps(conc.eigenvalues)
-    base = direct_draws(design, rng, n_draws=n_draws)
+    evidence = evidence_from_eigenvalues(conc.eigenvalues, t, n, k)
     hypotheses = []
     selected = n
     rejecting = True
-    for r, threshold in enumerate(thresholds):
-        ev = estimate_evidence(-0.5 * (t + n + 1) * gaps[r], base, burn_in=burn_in)
+    for r, (threshold, ev) in enumerate(zip(thresholds, evidence)):
         rejected = rejecting and threshold is not None and ev.ev < threshold
         if rejecting and not rejected:
             selected = r

@@ -45,7 +45,7 @@ def read_csv(path, columns=None, transform="none", delimiter=",", skip_index_col
             rows = list(csv.reader(fh, delimiter=delimiter))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    rows = [r for r in rows if "".join(r).strip()]  # drop blank rows
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one data row")
     header = [h.strip() for h in rows[0]]

@@ -15,10 +15,10 @@ from .cointegration import parse_threshold_policy
 from .errors import ConfigError
 from .fbst import CONVENTIONS, DEFAULT_BURN_IN, DEFAULT_N_DRAWS
 
-#: Report schema.  evcoint/5: the config echo has no ``stream`` or
-#: ``centered_dummies`` and the rank report no ``dummy_coding``.  README
-#: "Reproducible sampling" says what each version changed.
-SCHEMA = "evcoint/5"
+#: Report schema.  evcoint/6: e-values come from quadrature, and each row
+#: carries its error ``ev_err`` in place of ``mc_se``.  README
+#: "Reproducibility and report schema" says what each version changed.
+SCHEMA = "evcoint/6"
 
 
 @dataclass
@@ -36,6 +36,7 @@ class RunConfig:
     n_seasonal_dummies: int = 0
     dummy_period: int = 4
     start_period_index: int = 0
+    # Accepted, validated and echoed; since evcoint/6 they change no value.
     n_draws: int = DEFAULT_N_DRAWS
     burn_in: int = DEFAULT_BURN_IN
     seed: int = 0
@@ -75,7 +76,7 @@ def _row(hypothesis, evidence, log_s_star, **statistics):
         "hypothesis": hypothesis,
         "ev": evidence.ev,
         "ev_bar": evidence.ev_bar,
-        "mc_se": evidence.mc_se,
+        "ev_err": evidence.ev_err,
         "log_s_star": log_s_star,
         **statistics,
     }

@@ -1,4 +1,5 @@
-"""Seeded random generation with exact reproducibility.
+"""Seeded random generation with exact reproducibility, for the reference
+samplers that the tests compare the quadrature with; no CLI run draws.
 
 The raw source is the PCG64 counter-based generator seeded through
 ``numpy.random.SeedSequence(seed, spawn_key=(stream,))``; only its raw
@@ -7,8 +8,8 @@ normals, Marsaglia-Tsang gammas, Bartlett Wisharts) is built here on top of
 that stream and fixed permanently.  Draws are bit-identical for a fixed
 ``(seed, stream)`` on a given numpy build and SIMD dispatch: the normals
 use numpy's ``log``/``sqrt``/``cos``/``sin`` kernels; the batched gammas of
-``RngState.gamma_array``, the only sampler on the CLI path, use ``np.log``
-in their acceptance test, and the scalar ``RngState.gamma`` (the reference
+``RngState.gamma_array`` (the direct samplers) use ``np.log`` in their
+acceptance test, and the scalar ``RngState.gamma`` (the reference
 chains and ``_bartlett_factor``) uses ``math.log``.
 ``tests/test_reproducibility.py`` pins the streams to golden hashes.
 """

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from numbers import Integral
 
+import numpy as np
+
 _MAX_ITER = 500
 _EPS = 1e-15
 
@@ -71,6 +73,30 @@ def chi2_cdf(x, df):
     if x < 0:
         raise ValueError("chi-square argument must be >= 0")
     return gammainc_lower(0.5 * df, 0.5 * x)
+
+
+def chi2_cdf_integer(x, df):
+    """P(X <= x) at an array of x >= 0 for a chi-square variable with an
+    integer ``df`` >= 1, in closed form.  With y = x/2 the upper tail is
+    e^-y sum_{j < df/2} y^j / j! for even df, and erfc(sqrt y) +
+    e^-y sum_{j <= (df-3)/2} y^{j+1/2} / Gamma(j + 3/2) for odd df.
+
+    It is accurate to about 1e-14 absolute over a whole array of quadrature
+    nodes in one pass, which is what an integral of the CDF needs.  It is not
+    a replacement for ``chi2_cdf``: 1 - tail loses the relative accuracy of a
+    small lower tail (about 1e-5 relative at df = 5, x = 1e-4), which the
+    series keeps and ``chi2_quantile`` needs to invert p down to 1e-20."""
+    if not isinstance(df, Integral) or df < 1:
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df!r}")
+    y = np.maximum(0.5 * np.asarray(x, dtype=float), 1e-300)
+    log_y = np.log(y)
+    odd = df % 2
+    tail = np.array([math.erfc(math.sqrt(v)) for v in y.ravel()]).reshape(y.shape) \
+        if odd else np.zeros(y.shape)
+    for j in range(df // 2):
+        power = j + 0.5 * odd
+        tail += np.exp(power * log_y - y - math.lgamma(power + 1.0))
+    return np.clip(1.0 - tail, 0.0, 1.0)
 
 
 def chi2_pdf(x, df):

@@ -5,10 +5,12 @@ The model is the differenced autoregression
     dy_t = mu + delta*t + g0*y_{t-1} + g1*dy_{t-1} + ... + g_{p-1}*dy_{t-p+1} + e_t
 
 with the sharp hypothesis g0 = 0.  The posterior under the 1/sigma prior is
-normal-inverse-gamma around the OLS point.  The e-value counts independent
-posterior draws above the constrained maximum, which the ADF t-ratio fixes
-(RSS_r/RSS = 1 + t^2/(T-k)), and P(g0 >= 0 | y) is the Student-t CDF at
-it.  The paper's Gibbs chain over (psi, sigma) stays as the reference sampler.
+normal-inverse-gamma around the OLS point.  The e-value is the posterior
+mass outside the tangent set of the constrained maximum, which the ADF
+t-ratio fixes (RSS_r/RSS = 1 + t^2/(T-k)); it is a 1-D integral of the
+law of the base (``fbst.base_cdf``).  P(g0 >= 0 | y) is the Student-t CDF
+at the t-ratio.  The paper's Gibbs chain over (psi, sigma) and the direct
+sampler stay as the reference samplers that the tests compare against.
 """
 from __future__ import annotations
 
@@ -20,7 +22,13 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateRss, NonFiniteInput, SeriesTooShort
-from .fbst import DEFAULT_BURN_IN, DEFAULT_N_DRAWS, EvidenceResult, draw_base, estimate_evidence
+from .fbst import (
+    DEFAULT_N_DRAWS,
+    Evidence,
+    base_cdf,
+    draw_base,
+    estimate_evidence,  # noqa: F401  (perfbench's worker and tracer wrap it under this name)
+)
 from .special import student_t_cdf
 
 #: Smallest usable sample: below p + MIN_EXTRA observations the inverse-gamma
@@ -204,13 +212,18 @@ def direct_draws(design, rng, n_draws=DEFAULT_N_DRAWS):
     """The base at independent posterior draws: with c = RSS/sigma^2 ~ chi2_{T-k}
     and psi - psi_hat = sigma R^-1 z, q = |z|^2 ~ chi2_k, the kernel of
     ``log_posterior`` is a ln(c/RSS) - (c + q)/2 with a = (T+1)/2."""
-    t, k = design.x_full.shape
-    return draw_base(rng, 0.5 * (t + 1), [t - k], k, n_draws)
+    return draw_base(rng, *_base_law(*design.x_full.shape), n_draws)
+
+
+def _base_law(t, k):
+    """(a, dofs, q_dof) of the unit root's base: a = (T+1)/2, c ~ chi2_{T-k}
+    and q ~ chi2_k."""
+    return 0.5 * (t + 1), [t - k], k
 
 
 @dataclass(frozen=True)
 class UnitRootResult:
-    evidence: EvidenceResult
+    evidence: Evidence
     log_s_star: float
     p_nonstationary: float
     adf_stat: float
@@ -238,7 +251,14 @@ def tangent_threshold(adf_stat, t, k):
     return -0.5 * (t + 1) * math.log1p(adf_stat * adf_stat / (t - k))
 
 
-def test_unit_root(series, spec, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_BURN_IN):
+def evidence_from_t(t_adf, t, k):
+    """The e-value of g0 = 0 as a function of the ADF t-ratio and the sizes:
+    P(base <= threshold) for the base of ``direct_draws``.  It depends on
+    t_ADF^2 only."""
+    return Evidence(*base_cdf(tangent_threshold(t_adf, t, k), *_base_law(t, k)))
+
+
+def test_unit_root(series, spec):
     """Full unit-root run: e-value, posterior P(g0 >= 0) and the ADF t-ratio.
     The e-value is a function of t_ADF^2 and (T, k); g0's marginal posterior
     is Student-t, so P(g0 >= 0) = F_{T-k}(t_ADF) exactly."""
@@ -246,10 +266,9 @@ def test_unit_root(series, spec, rng, n_draws=DEFAULT_N_DRAWS, burn_in=DEFAULT_B
     adf_stat = adf_statistic(design)
     t, k = design.x_full.shape
     threshold = tangent_threshold(adf_stat, t, k)
-    evidence = estimate_evidence(threshold, direct_draws(design, rng, n_draws), burn_in=burn_in)
     sigma_map = math.sqrt(float(design.fit.rss[0, 0]) / (t + 1))
     return UnitRootResult(
-        evidence=evidence,
+        evidence=Evidence(*base_cdf(threshold, *_base_law(t, k))),
         log_s_star=-(t + 1) * math.log(sigma_map) - 0.5 * (t + 1) + threshold,
         p_nonstationary=student_t_cdf(adf_stat, t - k),
         adf_stat=adf_stat,

@@ -62,10 +62,6 @@ def read_columns_with_na(path):
     return out
 
 
-def run_rank_test(data, spec, seed_stream):
-    return co.test_rank(data, spec, RngState(0, seed_stream), n_draws=N_DRAWS, burn_in=BURN_IN)
-
-
 def check_rank_golden(report, max_eig_expected, ev_expected, max_eig_rtol=None,
                       max_eig_atol=None, ev_tol_floor=0.03):
     for r, expected in enumerate(max_eig_expected):
@@ -82,7 +78,7 @@ def check_rank_golden(report, max_eig_expected, ev_expected, max_eig_rtol=None,
         if expected is None:
             continue
         h = report.hypotheses[r]
-        tol = max(ev_tol_floor, 4.0 * h.evidence.mc_se)
+        tol = max(ev_tol_floor, 4.0 * h.evidence.ev_err)
         if expected == "zero":
             assert h.evidence.ev <= tol, f"rank {r}: ev {h.evidence.ev:.4f} not near 0"
         elif expected == "one":
@@ -122,16 +118,16 @@ def test_criterion_1_nelson_plosser_golden_run():
         series = columns[name][-size:]
         assert series.size == size, f"{name}: {series.size} observations, need {size}"
         spec = ur.UnitRootSpec(p=p, include_trend=trend)
-        res = ur.test_unit_root(series, spec, RngState(0, i),
-                                n_draws=N_DRAWS, burn_in=BURN_IN)
+        res = ur.test_unit_root(series, spec)
         assert abs(res.adf_stat - adf) <= 0.01, (
             f"{name}: ADF {res.adf_stat:.4f}, expected {adf}"
         )
-        ev_tol = max(0.02, 4.0 * res.evidence.mc_se)
+        ev_tol = max(0.02, 4.0 * res.evidence.ev_err)
         assert abs(res.evidence.ev - ev) <= ev_tol, (
             f"{name}: ev {res.evidence.ev:.4f}, expected {ev} (tol {ev_tol:.4f})"
         )
-        n = res.evidence.n_draws
+        # The paper estimated P(g0 >= 0) from N_DRAWS - BURN_IN draws.
+        n = N_DRAWS - BURN_IN
         p_se = math.sqrt(max(res.p_nonstationary * (1 - res.p_nonstationary), 1e-12) / n)
         p_tol = max(0.005, 4.0 * p_se)
         assert abs(res.p_nonstationary - p_nonstat) <= p_tol, (
@@ -149,7 +145,7 @@ def test_criterion_2_finnish_golden_run():
     assert data.shape[0] == 106
     spec = co.VecmSpec(n=4, p=2, include_constant=True,
                        n_seasonal_dummies=3, dummy_period=4, start_period_index=1)
-    report = run_rank_test(data, spec, seed_stream=100)
+    report = co.test_rank(data, spec)
     check_rank_golden(
         report,
         max_eig_expected=[38.489, 26.642, 7.8924],
@@ -164,7 +160,7 @@ def test_criterion_3_lucas_golden_run():
     columns = read_columns_with_na(path)
     data = np.log(np.column_stack([columns[c] for c in ("income", "money", "rate")]))
     spec = co.VecmSpec(n=3, p=1, include_constant=True)
-    report = run_rank_test(data, spec, seed_stream=200)
+    report = co.test_rank(data, spec)
     check_rank_golden(
         report,
         max_eig_expected=[25.334, 4.2507],
@@ -180,16 +176,16 @@ def test_criterion_4_eeg_golden_run():
     spec = co.VecmSpec(n=4, p=1, include_constant=True)
     golden = [
         (prior_path, [60.966, 30.727, 11.458, 0.0812],
-         ["zero", 0.0691, 0.9990, "one"], 300),
+         ["zero", 0.0691, 0.9990, "one"]),
         (during_path, [1120.5, 31.563, 6.5015, 1.4383],
-         ["zero", 0.1144, 0.9999, "one"], 301),
+         ["zero", 0.1144, 0.9999, "one"]),
     ]
-    for path, stats, evs, stream in golden:
+    for path, stats, evs in golden:
         columns = read_columns_with_na(path)
         data = np.column_stack(
             [columns[c] for c in ("fp1_f7", "fp1_f3", "fp2_f4", "fp2_f8")]
         )
-        report = run_rank_test(data, spec, seed_stream=stream)
+        report = co.test_rank(data, spec)
         check_rank_golden(report, max_eig_expected=stats, ev_expected=evs,
                           max_eig_rtol=0.005)
     print("ACCEPTANCE 4 (EEG phase golden run): PASS")
@@ -226,13 +222,12 @@ def test_criterion_6_small_instance_oracles():
     assert abs(res.ev - grid_ev) < 0.03, f"ev {res.ev:.4f} vs grid {grid_ev:.4f}"
     chain_p = float(np.mean(chain.psi[BURN_IN:, design.gamma0_index] >= 0))
     assert abs(chain_p - grid_p) < 0.01, f"P(g0 >= 0) {chain_p:.4f} vs grid {grid_p:.4f}"
-    # The CLI's direct sampler, on the same oracle.
-    direct = ur.test_unit_root(ar1_series(seed=7, n=13), ur.UnitRootSpec(p=1), RngState(0),
-                               n_draws=N_DRAWS, burn_in=BURN_IN)
-    assert abs(direct.evidence.ev - grid_ev) < 0.03, (
-        f"direct ev {direct.evidence.ev:.4f} vs grid {grid_ev:.4f}")
-    assert abs(direct.p_nonstationary - grid_p) < 0.01, (
-        f"direct P(g0 >= 0) {direct.p_nonstationary:.4f} vs grid {grid_p:.4f}")
+    # The CLI's quadrature, on the same oracle.
+    exact = ur.test_unit_root(ar1_series(seed=7, n=13), ur.UnitRootSpec(p=1))
+    assert abs(exact.evidence.ev - grid_ev) < 0.03, (
+        f"quadrature ev {exact.evidence.ev:.4f} vs grid {grid_ev:.4f}")
+    assert abs(exact.p_nonstationary - grid_p) < 0.01, (
+        f"quadrature P(g0 >= 0) {exact.p_nonstationary:.4f} vs grid {grid_p:.4f}")
     assert time.perf_counter() - start < 300.0
 
     # Cointegration constrained maximum at T = 15, n = 2 against multistart
@@ -279,9 +274,8 @@ def test_criterion_7_property_suite():
     stars = co.log_s_stars(conc.eigenvalues, conc.suu, d.effective_t, 2)
     assert all(b >= a for a, b in zip(stars, stars[1:]))
 
-    # Shared-chain nestedness: e-values non-decreasing in rank, ev_n = 1.
-    report = co.test_rank(data, co.VecmSpec(n=2, p=1), RngState(1),
-                          n_draws=12_000, burn_in=1_000)
+    # Nestedness: e-values non-decreasing in rank, ev_n = 1.
+    report = co.test_rank(data, co.VecmSpec(n=2, p=1))
     evs = [h.evidence.ev for h in report.hypotheses]
     assert all(b >= a for a, b in zip(evs, evs[1:]))
     assert evs[-1] == 1.0

@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evcoint import fbst
+from evcoint.cointegration import _base_law, evidence_from_eigenvalues
 from evcoint.errors import EmptyStream, NonFiniteLogPosterior
 from evcoint.fbst import (
     BridgeSpec,
+    base_cdf,
+    draw_base,
     estimate_evidence,
     ev_from_pvalue,
     evbar_from_pvalue,
@@ -13,6 +19,7 @@ from evcoint.fbst import (
     pvalue_from_evbar,
     vecm_bridge_spec,
 )
+from evcoint.rng import RngState
 
 
 class TestEstimateEvidence:
@@ -106,6 +113,146 @@ class TestEstimateEvidence:
             scale * s + shift, [scale * v + shift for v in lp]
         )
         assert mapped.ev == res.ev
+
+
+def gil_pelaez_quad(thr, a, dofs, q_dof):
+    """P(base <= thr) by scipy ``quad`` of the Gil-Pelaez integrand, with
+    scipy's complex log-gamma in the characteristic function."""
+    from scipy import integrate, special
+
+    def integrand(u):
+        iu = 1j * u
+        log_phi = -0.5 * q_dof * np.log1p(iu) - iu * len(dofs) * a * (math.log(2 * a) - 1)
+        for dof in dofs:
+            z = 0.5 * dof + iu * a
+            log_phi += special.loggamma(z) - special.gammaln(0.5 * dof) \
+                + iu * a * math.log(2.0) - z * np.log1p(iu)
+        return np.imag(np.exp(log_phi - iu * thr)) / u
+
+    value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=5000)
+    return 0.5 - value / math.pi
+
+
+def unit_root_quad(thr, a, dof, q_dof):
+    """P(base <= thr) by scipy ``quad`` over c ~ chi2_dof of the chi2_q tail
+    beyond 2 (f(c) - thr), f(c) = a (ln(c/2a) + 1) - c/2."""
+    from scipy import integrate, optimize, stats
+
+    def gap(c):
+        return a * (math.log(c / (2.0 * a)) + 1.0) - 0.5 * c - thr
+
+    def integrand(c):
+        return stats.chi2.sf(max(2.0 * gap(c), 0.0), q_dof) * stats.chi2.pdf(c, dof)
+
+    roots = [optimize.brentq(gap, 1e-300, 2.0 * a), optimize.brentq(gap, 2.0 * a, 1e6 * a)]
+    lo, hi = stats.chi2.ppf([1e-16, 1.0 - 1e-16], dof)
+    value, _ = integrate.quad(integrand, lo, hi, points=[r for r in roots if lo < r < hi],
+                              epsabs=1e-14, epsrel=1e-12, limit=500)
+    return value
+
+
+class TestBaseCdf:
+    @pytest.mark.parametrize("t, n, k", [
+        (104, 4, 12), (10_495, 4, 5), (85, 3, 4), (20, 2, 3), (30, 2, 3), (98, 2, 3),
+    ], ids=["finland", "eeg", "lucas", "n2-t20", "n2-t30", "n2-t98"])
+    def test_vecm_matches_scipy_quadrature(self, t, n, k):
+        a, dofs, q_dof = _base_law(t, n, k)
+        thrs = -a * np.array([0.002, 0.02, 0.05, 0.1, 0.2, 0.4])
+        evs, errs = base_cdf(thrs, a, dofs, q_dof)
+        for thr, ev, err in zip(thrs, evs, errs):
+            assert abs(ev - gil_pelaez_quad(thr, a, dofs, q_dof)) < 1e-9, thr
+            assert 0.0 <= err < 1e-9
+
+    @pytest.mark.parametrize("t", [12, 20, 78, 127, 5000])
+    def test_unit_root_matches_scipy_quadrature(self, t):
+        a = 0.5 * (t + 1)
+        for k in range(1, 7):
+            for t_adf in (0.3, 1.0, 2.0, 4.0, 8.0):
+                thr = -a * math.log1p(t_adf ** 2 / (t - k))
+                ev, err = base_cdf(thr, a, [t - k], k)
+                assert abs(ev - unit_root_quad(thr, a, t - k, k)) < 1e-9, (k, t_adf)
+                assert 0.0 <= err < 1e-9
+
+    @pytest.mark.parametrize("t", [15, 40, 200])
+    def test_slow_decay_deep_tail_matches_conditioning_on_one_chi_square(self, t):
+        # n = 2, k = 2 (p = 1, no constant): q_dof = 5 and the characteristic
+        # function decays only as u^-3.5.  Thresholds -25 to -45 are trace
+        # statistics of a strongly cointegrated pair.  Reference: condition on
+        # c_1, the rest is the one-chi-square law at thr - f(c_1), integrated
+        # over c_1 by scipy ``quad``.
+        from scipy import integrate, stats
+
+        a, (d1, d2), q_dof = _base_law(t, 2, 2)
+
+        def conditioned(thr):
+            def outer(c):
+                rest = thr - (a * (math.log(c / (2.0 * a)) + 1.0) - 0.5 * c)
+                return base_cdf(rest, a, [d2], q_dof)[0] * stats.chi2.pdf(c, d1)
+
+            lo, hi = stats.chi2.ppf([1e-16, 1.0 - 1e-16], d1)
+            value, _ = integrate.quad(outer, lo, hi, points=[2.0 * a], epsabs=1e-13,
+                                      epsrel=0.0, limit=500)
+            return value
+
+        thrs = np.array([-25.0, -30.0, -35.0, -40.0, -45.0])
+        evs, errs = base_cdf(thrs, a, [d1, d2], q_dof)
+        for thr, ev, err in zip(thrs, evs, errs):
+            assert abs(ev - conditioned(thr)) < 1e-12, thr
+            assert 0.0 <= err < 1e-12
+
+    @pytest.mark.parametrize("t, k", [(20, 6), (60, 6), (200, 8)])
+    def test_both_methods_agree_on_one_chi_square(self, t, k):
+        # Gil-Pelaez converges at n = 1 once q ~ chi2_k with k >= 6 makes
+        # the characteristic function decay fast enough.
+        a, thrs = 0.5 * (t + 1), np.array([-0.5, -2.0, -4.0, -8.0])
+        by_c, _ = fbst._unit_root_cdf(thrs, a, [t - k], k)
+        by_phi, _ = fbst._gil_pelaez_cdf(thrs, a, [t - k], k)
+        np.testing.assert_allclose(by_phi, by_c, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("a, dofs, q_dof, thrs", [
+        (*_base_law(104, 4, 12), [-48.0, -41.0, -33.0, -25.0, -20.5]),
+        (30.5, [54], 6, [-10.0, -6.5, -3.4, -1.5, -0.7]),
+    ], ids=["finland", "unit-root"])
+    def test_within_binomial_error_of_a_million_draws(self, a, dofs, q_dof, thrs):
+        n = 1_000_000
+        base = draw_base(RngState(3), a, dofs, q_dof, n)
+        evs, _ = base_cdf(np.array(thrs), a, dofs, q_dof)
+        for thr, ev in zip(thrs, evs):
+            empirical = np.count_nonzero(base <= thr) / n
+            assert abs(ev - empirical) <= 4.0 * math.sqrt(ev * (1.0 - ev) / n), thr
+
+    def test_far_tail_is_exactly_zero(self):
+        # EEG phase "during" (T = 10,495, n = 4, k = 5): the rank-0 trace gap
+        # lies about 40 standard deviations out.
+        t, n, k = 10_495, 4, 5
+        eigenvalues = -np.expm1(-np.array([1120.5, 31.563, 6.5015, 1.4383]) / t)
+        evs = [e.ev for e in evidence_from_eigenvalues(eigenvalues, t, n, k)]
+        assert evs[0] == 0.0
+        assert evs[-1] == 1.0
+
+    def test_threshold_zero_is_exactly_one(self):
+        for a, dofs, q_dof in (_base_law(104, 4, 12), _base_law(20, 2, 3), (30.5, [54], 6)):
+            assert base_cdf(0.0, a, dofs, q_dof) == (1.0, 0.0)
+            assert base_cdf(-0.0, a, dofs, q_dof) == (1.0, 0.0)
+
+    def test_every_value_lies_in_the_unit_interval(self):
+        thrs = -np.geomspace(1e-6, 1e4, 60)
+        for a, dofs, q_dof in (_base_law(104, 4, 12), _base_law(10_495, 4, 5),
+                               _base_law(30, 2, 3), _base_law(15, 2, 2), _base_law(40, 2, 2),
+                               _base_law(200, 2, 2), (64.0, [121], 6), (6.5, [11], 1)):
+            evs, errs = base_cdf(thrs, a, dofs, q_dof)
+            assert np.all((evs >= 0.0) & (evs <= 1.0))
+            assert np.all(np.diff(evs) <= 1e-9)   # thrs decrease
+            assert np.all(errs >= 0.0)
+
+    def test_ranks_within_rounding_of_one_stay_non_decreasing(self):
+        # Ranks 1 and 2 differ by a 1e-13 trace gap, both with e-values within
+        # 1e-12 of 1: closer than the quadrature error.
+        eigenvalues = np.array([0.5, 1e-13, 0.05, 0.0487])
+        evs = [e.ev for e in evidence_from_eigenvalues(eigenvalues, 104, 4, 12)]
+        assert 1.0 - 1e-12 < evs[1] <= evs[2] < 1.0
+        assert all(b >= a for a, b in zip(evs, evs[1:]))
+        assert evs[-1] == 1.0
 
 
 class TestBridge:

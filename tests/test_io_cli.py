@@ -64,6 +64,13 @@ class TestReadCsv:
         assert m.column_names == ("y",)
         np.testing.assert_array_equal(m.values.ravel(), [1, 3])
 
+    def test_blank_rows_are_dropped(self, tmp_path):
+        # Rows of spaces, of empty cells and of bare delimiters are blank;
+        # a single non-blank cell keeps its row.
+        (tmp_path / "m.csv").write_text("x,y\n1,2\n   \n\n,\n , \n,,,\n,5\n3,4\n")
+        m = io.read_csv(tmp_path / "m.csv", columns=["y"])
+        np.testing.assert_array_equal(m.values.ravel(), [2, 5, 4])
+
     def test_column_selection_by_name_and_index(self, tmp_path):
         path = write_csv(tmp_path / "m.csv", ["x", "y", "z"], [[1, 2, 3], [4, 5, 6]])
         by_name = io.read_csv(path, columns=["z", "x"])
@@ -190,13 +197,21 @@ class TestCliUnitroot:
         code, out, err = run_cli(["unitroot", series_csv, "-p", "2"] + self.ARGS, capsys)
         assert code == 0, err
         report = json.loads(out)
-        assert report["schema"] == "evcoint/5"
+        assert report["schema"] == "evcoint/6"
         assert report["engine"] == "unitroot"
         assert "evidence" not in report
         row = report["rows"][0]
         assert 0.0 <= row["ev"] <= 1.0
         assert row["log_s_star"] < 0.0
         assert report["config"]["seed"] == 5
+
+    def test_draw_flags_change_no_value(self, series_csv, capsys):
+        # --seed, --n-draws and --burn-in are validated and echoed only.
+        args = ["unitroot", series_csv, "-p", "2"]
+        _, plain, _ = run_cli(args, capsys)
+        _, flagged, _ = run_cli(args + self.ARGS, capsys)
+        assert json.loads(flagged)["rows"] == json.loads(plain)["rows"]
+        assert json.loads(flagged)["config"]["n_draws"] == 3000
 
     def test_byte_identical_rerun(self, series_csv, capsys):
         args = ["unitroot", series_csv, "-p", "1"] + self.ARGS
@@ -266,7 +281,7 @@ class TestCliUnitroot:
     def test_exit_3_on_a_perfect_full_fit(self, tmp_path, capsys, monkeypatch):
         # dy_t = 0.05 y_{t-1} for y_t = 1.05^t: the full regression fits
         # exactly, the restricted one does not.
-        _forbid(monkeypatch, ["direct_draws"], "sampling started on a degenerate fit")
+        _forbid(monkeypatch, ["base_cdf"], "evidence computed on a degenerate fit")
         path = write_csv(tmp_path / "geometric.csv", ["y"], [[1.05 ** i] for i in range(30)])
         code, out, err = run_cli(["unitroot", path] + self.ARGS, capsys)
         assert code == 3 and "numeric failure" in err and out == ""
@@ -335,10 +350,10 @@ class TestCliCoint:
             "output-is-directory", "output-name-too-long", "unknown-flag",
             "convention-choice", "n-draws-not-int"])
     def test_exit_4_on_config_error(self, pair_csv, tmp_path, capsys, monkeypatch, args):
-        def no_sampling(*_, **__):
-            raise AssertionError("sampling started before the configuration was checked")
+        def no_evidence(*_, **__):
+            raise AssertionError("evidence computed before the configuration was checked")
 
-        monkeypatch.setattr(cointegration, "direct_draws", no_sampling)
+        monkeypatch.setattr(cointegration, "base_cdf", no_evidence)
         argv = ["coint", pair_csv, "--n-draws", "3000", "--burn-in", "300", "--seed", "5"]
         argv += [a.format(tmp=tmp_path) for a in args]
         code, out, err = run_cli(argv, capsys)
@@ -400,7 +415,10 @@ def _forbid(monkeypatch, names, message):
 
 
 def test_cli_runs_no_gibbs_chain(series_csv, pair_csv, capsys, monkeypatch):
-    _forbid(monkeypatch, ["gibbs_chain", "chain_log_posterior"], "the CLI ran a Gibbs chain")
+    # No CLI run draws a random number: neither a Gibbs chain nor the direct
+    # sampler, nor the Monte Carlo estimate from a stream.
+    _forbid(monkeypatch, ["gibbs_chain", "chain_log_posterior", "direct_draws", "draw_base",
+                          "estimate_evidence"], "the CLI sampled")
     for argv in (["unitroot", series_csv, "-p", "2"], ["coint", pair_csv, "-p", "1"]):
         code, out, err = run_cli(argv + ["--n-draws", "3000", "--burn-in", "300"], capsys)
         assert code == 0, err
@@ -420,8 +438,8 @@ def test_cli_unit_root_without_regressors_but_the_level(series_csv, capsys):
 ], ids=["unitroot-T-equals-k", "coint-T-minus-k-below-n"])
 def test_exit_2_on_too_few_observations_for_the_regressors(tmp_path, capsys, monkeypatch,
                                                             command, n_obs, dim, args):
-    _forbid(monkeypatch, ["direct_draws"],
-            "sampling started on a series too short for its regressors")
+    _forbid(monkeypatch, ["base_cdf"],
+            "evidence computed on a series too short for its regressors")
     data = random_walks(seed=9, n=n_obs, dim=dim)
     path = write_csv(tmp_path / "short.csv", [f"y{j}" for j in range(dim)], data.tolist())
     code, out, err = run_cli([command, path, *args, "--seed", "5"], capsys)

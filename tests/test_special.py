@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from evcoint.special import chi2_cdf, chi2_pdf, chi2_quantile, gammainc_lower, student_t_cdf
+from evcoint.special import (
+    chi2_cdf,
+    chi2_cdf_integer,
+    chi2_pdf,
+    chi2_quantile,
+    gammainc_lower,
+    student_t_cdf,
+)
 
 
 class TestGammaincLower:
@@ -70,6 +77,19 @@ class TestChi2Cdf:
             chi2_cdf(1.0, 0)
         with pytest.raises(ValueError):
             chi2_cdf(-1.0, 2)
+
+
+class TestChi2CdfInteger:
+    def test_against_series_and_continued_fraction(self):
+        x = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-6, 2000.0, 120)])
+        for df in range(1, 31):
+            want = [chi2_cdf(v, df) for v in x]
+            np.testing.assert_allclose(chi2_cdf_integer(x, df), want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("df", [0, -3, 2.5])
+    def test_df_must_be_an_integer_at_least_one(self, df):
+        with pytest.raises(ValueError):
+            chi2_cdf_integer(np.array([1.0]), df)
 
 
 class TestChi2Quantile:

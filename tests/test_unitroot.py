@@ -163,24 +163,24 @@ class TestDirect:
         _, _, log_s_star = ur.restricted_map(design)
         chain = ur.gibbs_chain(design, RngState(12), n_draws=21_000)
         gibbs = estimate_evidence(log_s_star, chain.log_posterior, burn_in=1_000)
-        direct = ur.test_unit_root(ar1_series(seed=30, n=50), design.spec, RngState(12),
-                                   n_draws=21_000, burn_in=1_000).evidence
-        assert 0.1 < direct.ev < 0.9
-        assert abs(direct.ev - gibbs.ev) < 4.0 * math.hypot(direct.mc_se, gibbs.mc_se_batch)
+        exact = ur.test_unit_root(ar1_series(seed=30, n=50), design.spec).evidence
+        assert 0.1 < exact.ev < 0.9
+        assert abs(exact.ev - gibbs.ev) < 4.0 * math.hypot(exact.ev_err, gibbs.mc_se_batch)
 
     def test_p_nonstationary_is_the_student_t_tail(self):
         # The marginal posterior of g0 is Student-t with T - k degrees of
-        # freedom around the OLS point, so P(g0 >= 0) = F_{T-k}(t_ADF),
-        # whatever the seed and the burn-in.
+        # freedom around the OLS point, so P(g0 >= 0) = F_{T-k}(t_ADF).
         from scipy import stats
 
-        y, spec = ar1_series(seed=30, n=50), ur.UnitRootSpec(p=2, include_trend=True)
-        res, other = (ur.test_unit_root(y, spec, RngState(seed), n_draws=41_000, burn_in=burn_in)
-                      for seed, burn_in in ((5, 1_000), (6, 3_000)))
+        res = ur.test_unit_root(ar1_series(seed=30, n=50),
+                                ur.UnitRootSpec(p=2, include_trend=True))
         t, k = res.design.x_full.shape
         exact = float(stats.t.cdf(res.adf_stat, t - k))
         assert abs(res.p_nonstationary - exact) < 1e-12
-        assert other.p_nonstationary == res.p_nonstationary
+
+    def test_evidence_is_two_sided_in_the_t_ratio(self):
+        for t_adf in (0.5, 1.7, 3.2):
+            assert ur.evidence_from_t(-t_adf, 60, 4) == ur.evidence_from_t(t_adf, 60, 4)
 
 
 class TestAdfStatistic:
@@ -210,21 +210,19 @@ class TestAdfStatistic:
 class TestEndToEnd:
     def test_result_fields_consistent(self):
         y = ar1_series(seed=31, n=50)
-        res = ur.test_unit_root(y, ur.UnitRootSpec(p=1), RngState(3), n_draws=5000,
-                                burn_in=500)
+        res = ur.test_unit_root(y, ur.UnitRootSpec(p=1))
         assert 0.0 <= res.evidence.ev <= 1.0
         assert res.evidence.ev + res.evidence.ev_bar == pytest.approx(1.0)
         assert 0.0 <= res.p_nonstationary <= 1.0
-        assert res.evidence.n_draws == 4500
+        assert 0.0 <= res.evidence.ev_err < 1e-9
         assert res.psi_hat.size == res.design.x_full.shape[1]
         assert res.sigma_map > 0
 
     def test_one_full_design_fit_per_run(self, ols_design_widths):
-        # The full-design fit that the sampler, the ADF statistic and the
-        # MAP point all share; the restricted maximum is read off the ADF
-        # t-ratio, so no restricted regression runs.
-        ur.test_unit_root(ar1_series(seed=31, n=50), ur.UnitRootSpec(p=2, include_trend=True),
-                          RngState(3), n_draws=2000, burn_in=200)
+        # The full-design fit that the ADF statistic and the MAP point
+        # share; the restricted maximum is read off the ADF t-ratio, so no
+        # restricted regression runs.
+        ur.test_unit_root(ar1_series(seed=31, n=50), ur.UnitRootSpec(p=2, include_trend=True))
         assert ols_design_widths == [4]
 
     @pytest.mark.parametrize("p, trend, intercept", [
@@ -233,20 +231,15 @@ class TestEndToEnd:
     def test_log_s_star_is_the_restricted_maximum(self, p, trend, intercept):
         spec = ur.UnitRootSpec(p=p, include_trend=trend, include_intercept=intercept)
         y = ar1_series(seed=33, n=70)
-        res = ur.test_unit_root(y, spec, RngState(3), n_draws=1000, burn_in=100)
+        res = ur.test_unit_root(y, spec)
         _, _, log_s_star = ur.restricted_map(ur.build_design(y, spec))
         assert res.log_s_star == pytest.approx(log_s_star, rel=1e-12)
-
-    def test_negative_burn_in_rejected(self):
-        with pytest.raises(ValueError, match="burn-in"):
-            ur.test_unit_root(ar1_series(seed=31, n=50), ur.UnitRootSpec(p=1), RngState(1),
-                              n_draws=2000, burn_in=-5)
 
     def test_deterministic_replay(self):
         y = ar1_series(seed=32, n=40)
         spec = ur.UnitRootSpec(p=2)
-        a = ur.test_unit_root(y, spec, RngState(11, 2), n_draws=4000, burn_in=400)
-        b = ur.test_unit_root(y, spec, RngState(11, 2), n_draws=4000, burn_in=400)
+        a = ur.test_unit_root(y, spec)
+        b = ur.test_unit_root(y, spec)
         assert a.evidence.ev == b.evidence.ev
         assert a.p_nonstationary == b.p_nonstationary
         assert a.adf_stat == b.adf_stat
@@ -254,14 +247,12 @@ class TestEndToEnd:
     def test_random_walk_supports_unit_root(self):
         g = np.random.default_rng(34)
         y = np.cumsum(g.normal(size=150))
-        res = ur.test_unit_root(y, ur.UnitRootSpec(p=1), RngState(6), n_draws=20_000,
-                                burn_in=1000)
+        res = ur.test_unit_root(y, ur.UnitRootSpec(p=1))
         assert res.evidence.ev > 0.5
         assert res.p_nonstationary > 0.05
 
     def test_stationary_series_rejects_unit_root(self):
         y = ar1_series(seed=34, n=300, phi=0.2)
-        res = ur.test_unit_root(y, ur.UnitRootSpec(p=1), RngState(6), n_draws=20_000,
-                                burn_in=1000)
+        res = ur.test_unit_root(y, ur.UnitRootSpec(p=1))
         assert res.evidence.ev < 0.01
         assert res.p_nonstationary < 0.01
