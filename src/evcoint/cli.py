@@ -6,6 +6,7 @@ error, 3 numeric failure, 4 configuration error, usage errors included.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -93,9 +94,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
     """Every dest is a ``RunConfig`` field; a flag left out stays out of the
-    namespace, so ``RunConfig`` supplies its default."""
+    namespace, so ``RunConfig`` supplies its default.  Built once per
+    process and shared, so callers must not change it; each ``parse_args``
+    fills a fresh namespace."""
     parser = _Parser(
         prog="evcoint",
         description="FBST e-values for unit-root and cointegration-rank hypotheses",

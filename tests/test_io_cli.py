@@ -1,7 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ar1_series, cointegrated_pair, random_walks
 from evcoint import cli, cointegration, io, unitroot
@@ -137,6 +140,216 @@ class TestReadCsv:
         path = write_csv(tmp_path / "m.csv", ["x"], [[1]])
         with pytest.raises(InputError):
             io.read_csv(path, transform="sqrt")
+
+
+def reference_read_csv(path, columns=None, transform="none", delimiter=",",
+                       skip_index_column=False):
+    """The per-cell reader that ``read_csv`` must agree with: ``csv.reader``,
+    the blank-row filter and one ``float()`` per cell, in row order."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh, delimiter=delimiter))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    rows = [r for r in rows if "".join(r).strip()]
+    if len(rows) < 2:
+        raise InputError(f"{path}: need a header row and at least one data row")
+    header = [h.strip() for h in rows[0]]
+    data_rows = rows[1:]
+    if skip_index_column:
+        header = header[1:]
+        data_rows = [r[1:] for r in data_rows]
+    indices = []
+    for c in range(len(header)) if columns is None else columns:
+        if isinstance(c, int) or (isinstance(c, str) and c.lstrip("-").isdigit()):
+            if not 0 <= int(c) < len(header):
+                raise MissingColumn(str(c))
+            indices.append(int(c))
+        elif c in header:
+            indices.append(header.index(c))
+        else:
+            raise MissingColumn(c)
+        if indices.count(indices[-1]) > 1:
+            raise InputError(f"column {header[indices[-1]]!r} selected twice")
+    out = np.empty((len(data_rows), len(indices)))
+    for i, row in enumerate(data_rows):
+        for j, idx in enumerate(indices):
+            if idx >= len(row):
+                raise ParseError(i + 2, idx + 1, "missing cell")
+            cell = row[idx].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(i + 2, idx + 1, f"not a number: {cell!r}") from None
+            if not np.isfinite(value):
+                raise ParseError(i + 2, idx + 1, f"non-finite value: {cell!r}")
+            if transform == "log" and value <= 0:
+                raise NonPositiveForLog(i + 2, idx + 1)
+            out[i, j] = value
+    return io.TimeSeriesMatrix(values=np.log(out) if transform == "log" else out,
+                               column_names=tuple(header[idx] for idx in indices))
+
+
+def outcome(read, path, **kwargs):
+    """What a reader makes of a file: the exact bits of the values and the
+    names, or the class, message and position of its error."""
+    try:
+        m = read(path, **kwargs)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return m.values.shape, m.values.tobytes(), m.column_names
+
+
+# (id, file text, read_csv arguments, expected values or error class)
+PARITY_CASES = [
+    ("crlf", "x,y\r\n1,2\r\n3,4\r\n", {}, [[1, 2], [3, 4]]),
+    ("lone-cr", "x,y\r1,2\r3,4\r", {}, [[1, 2], [3, 4]]),
+    ("trailing-delimiter", "x,y\n1,2,\n3,4,\n", {}, [[1, 2], [3, 4]]),
+    ("extra-cells", "x,y\n1,2,9,abc\n3,4,\n", {}, [[1, 2], [3, 4]]),
+    ("whitespace-only-rows", "x,y\n1,2\n   \n\t\n \r\n3,4\n", {}, [[1, 2], [3, 4]]),
+    ("delimiter-only-rows", "x,y\n1,2\n,\n , ,,\n3,4\n", {}, [[1, 2], [3, 4]]),
+    ("blank-lines-before-header", "\n  \n,\nx,y\n1,2\n", {}, [[1, 2]]),
+    ("blank-line-before-a-numeric-header", "\n1,2\n3,4\n", {}, [[3, 4]]),
+    ("skip-index-of-a-single-column", "x\n1\n  \n2\n", {"skip_index_column": True},
+     [[], []]),
+    ("underscores", "x\n1_000\n2.5_5\n", {}, [[1000], [2.55]]),
+    ("arabic-indic-digits", "x\n\u0661\u0662\n3\n", {}, [[12], [3]]),
+    ("full-width-digits", "x\n\uff11.\uff15\n3\n", {}, [[1.5], [3]]),
+    ("nbsp-padding", "x\n\xa01.5\xa0\n2\n", {}, [[1.5], [2]]),
+    ("unit-separator-padding", "x\n1\x1f\n\x1c2\n", {}, [[1], [2]]),
+    ("quoted-cells", 'x,y\n"1"," 2"\n3,"4"\n', {}, [[1, 2], [3, 4]]),
+    ("quoted-header", '"x","y"\n1,2\n', {}, [[1, 2]]),
+    ("quoted-delimiters-in-an-unselected-cell", 'note,x\n"a,1,b",5\n"c,2,d",6\n',
+     {"columns": ["x"]}, [[5], [6]]),
+    ("skip-index-quoted-date", 'date,x\n"2020,01",1.5\n"2020,02",2.5\n',
+     {"skip_index_column": True}, [[1.5], [2.5]]),
+    ("semicolon", "x;y\n1;2\n3;4\n", {"delimiter": ";"}, [[1, 2], [3, 4]]),
+    ("space", "x y\n1 2\n3 4\n", {"delimiter": " "}, [[1, 2], [3, 4]]),
+    ("tab", "x\ty\n1\t2\n3\t4\n", {"delimiter": "\t"}, [[1, 2], [3, 4]]),
+    ("doubled-space-unselected", "x y\n1  2\n", {"delimiter": " ", "columns": ["x"]}, [[1]]),
+    ("doubled-tab-unselected", "x\ty\n1\t\t2\n", {"delimiter": "\t", "columns": ["x"]}, [[1]]),
+    ("byte-order-mark", "\ufeffx,y\n1,2\n", {}, [[1, 2]]),
+    ("nan", "x\n1\nnan\n", {}, ParseError),
+    ("inf", "x\n1\n-inf\n", {}, ParseError),
+    ("overflow-to-inf", "x\n1\n1e400\n", {}, ParseError),
+    ("hash", "x\n1#2\n", {}, ParseError),
+    ("nul-byte", "x\n1\x002\n", {}, ParseError),
+    ("quoted-word", 'x\n1\n"a"\n', {}, ParseError),
+    ("quoted-line-break", 'x\n"1\n2"\n', {}, ParseError),
+    ("doubled-space-selected", "x y\n1  2\n", {"delimiter": " "}, ParseError),
+    ("doubled-tab-selected", "x\ty\n1\t\t2\n", {"delimiter": "\t"}, ParseError),
+    ("short-row", "x,y\n1,2\n3\n", {}, ParseError),
+    ("log-of-negative", "x\n1\n-2\n", {"transform": "log"}, NonPositiveForLog),
+    ("header-only", "x,y\n", {}, InputError),
+    ("header-and-blank-rows", "x,y\n\n , \n", {"columns": ["q"]}, InputError),
+    ("empty", "", {}, InputError),
+    ("unselected-field-over-csv-limit", "x,note\n1," + "a" * 200_000 + "\n",
+     {"columns": ["x"]}, InputError),
+    ("missing-column", "x\n1\n", {"columns": ["q"]}, MissingColumn),
+    ("line-break-as-delimiter", "x,y\n1,2\n", {"delimiter": "\r"}, ParseError),
+]
+
+
+class TestReadCsvParity:
+    """``read_csv`` accepts and rejects exactly what the per-cell reader
+    did, with the same values to the bit and the same error messages."""
+
+    @pytest.mark.parametrize("text, kwargs, expected",
+                             [case[1:] for case in PARITY_CASES],
+                             ids=[case[0] for case in PARITY_CASES])
+    def test_edge_case(self, tmp_path, text, kwargs, expected):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = outcome(io.read_csv, path, **kwargs)
+        assert got == outcome(reference_read_csv, path, **kwargs)
+        if isinstance(expected, list):
+            assert got[1] == np.array(expected, dtype=float).tobytes()
+        else:
+            assert got[0] is expected
+
+    @pytest.mark.parametrize("delimiter", ["", "ab"])
+    def test_delimiter_that_csv_refuses(self, tmp_path, delimiter):
+        path = write_csv(tmp_path / "m.csv", ["x"], [[1]])
+        with pytest.raises(TypeError, match='"delimiter" must be a 1-character string'):
+            io.read_csv(path, delimiter=delimiter)
+
+    ALPHABET = "0123456789.eE+-_nainfty \t\"\r\n,;\xa0\u0661\uff11#\x00\x1f"
+    NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.integers(-10**6, 10**6).map(str))
+    PADDED = st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t", "\xa0"]), NUMBER,
+                       st.sampled_from(["", " ", "\x1f"]))
+    CELL = st.one_of(NUMBER, PADDED, NUMBER.map('"{}"'.format), st.text(ALPHABET, max_size=6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_cell_reader(self, tmp_path_factory, data):
+        # Half the files hold padded numbers only, as the fast path needs;
+        # the rest mix in quotes, line breaks, junk and blank lines.
+        clean = data.draw(st.booleans())
+        delimiter = data.draw(st.sampled_from([",", ";", " ", "\t"]))
+        width = data.draw(st.integers(1, 4))
+        names = [f"c{j}" for j in range(width)]
+        lines = [delimiter.join(n if clean else data.draw(st.sampled_from([n, f'"{n}"', f" {n}"]))
+                                for n in names)]
+        cell = st.one_of(self.NUMBER, self.PADDED) if clean else self.CELL
+        for _ in range(data.draw(st.integers(0 if not clean else 1, 6))):
+            cells = data.draw(st.lists(cell, min_size=width - (not clean), max_size=width + 1))
+            lines.append(delimiter.join(cells))
+        for _ in range(0 if clean else data.draw(st.integers(0, 2))):
+            blank = data.draw(st.sampled_from(["", " ", delimiter, "\t" + delimiter]))
+            lines.insert(data.draw(st.integers(0, len(lines))), blank)
+        eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        text = eol.join(lines) + data.draw(st.sampled_from(["", eol]))
+        bom = data.draw(st.sampled_from(["", "\ufeff"]))
+        kwargs = {
+            "delimiter": delimiter,
+            "columns": data.draw(st.one_of(st.none(), st.lists(
+                st.one_of(st.sampled_from(names + ["zz"]), st.integers(-1, width),
+                          st.integers(-1, width).map(str)), min_size=1, max_size=3))),
+            "transform": data.draw(st.sampled_from(["none", "log"])),
+            "skip_index_column": data.draw(st.booleans()),
+        }
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes((bom + text).encode("utf-8"))
+        assert outcome(io.read_csv, path, **kwargs) == outcome(reference_read_csv, path, **kwargs)
+
+
+class TestReadCsvFastPath:
+    """A clean file never reaches ``csv.reader``, so that a silent slide back
+    to the per-cell walk fails here and not only in the benchmark."""
+
+    @pytest.fixture
+    def walk_calls(self, monkeypatch):
+        calls = []
+        reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            calls.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(io.csv, "reader", counting_reader)
+        return calls
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"columns": ["y3", "1"], "transform": "log"}, {"skip_index_column": True},
+    ], ids=["all", "selected-log", "skip-index"])
+    def test_clean_file_skips_the_walk(self, tmp_path, walk_calls, kwargs):
+        data = np.exp(random_walks(seed=5, n=400, dim=4, scale=0.1))
+        path = tmp_path / "bench.csv"
+        with open(path, "w") as fh:  # as the benchmark workloads write their inputs
+            fh.write("y1,y2,y3,y4\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in data.tolist())
+        want = outcome(reference_read_csv, path, **kwargs)
+        walk_calls.clear()
+        assert outcome(io.read_csv, path, **kwargs) == want
+        assert walk_calls == []
+
+    def test_quoted_cell_takes_the_walk(self, tmp_path, walk_calls):
+        path = tmp_path / "quoted.csv"
+        path.write_text('x,y\n1,"2"\n3,4\n')
+        m = io.read_csv(path)
+        np.testing.assert_array_equal(m.values, [[1, 2], [3, 4]])
+        assert len(walk_calls) == 1
 
 
 class TestRunConfig:
@@ -289,6 +502,24 @@ class TestCliUnitroot:
     def test_exit_4_on_config_error(self, pair_csv, capsys):
         code, _, err = run_cli(["unitroot", pair_csv] + self.ARGS, capsys)
         assert code == 4 and "config error" in err
+
+    def test_flags_do_not_leak_into_the_next_call(self, series_csv, capsys):
+        # One parser serves every call of the process.
+        _, first, _ = run_cli(["unitroot", series_csv, "-p", "2", "--trend"], capsys)
+        _, second, _ = run_cli(["unitroot", series_csv, "-p", "2"], capsys)
+        assert json.loads(first)["config"]["include_trend"] is True
+        assert json.loads(second)["config"]["include_trend"] is False
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("flag, usage", [
+        (["--no-such-flag"], "usage: evcoint "),
+        (["--transform", "sqrt"], "usage: evcoint unitroot "),
+    ], ids=["unknown-flag", "bad-choice"])
+    def test_usage_error_prints_usage_and_exits_4(self, series_csv, capsys, flag, usage):
+        for _ in range(2):
+            code, out, err = run_cli(["unitroot", series_csv, *flag], capsys)
+            assert code == 4 and out == ""
+            assert err.startswith(usage) and "config error" in err and flag[-1] in err
 
 
 class TestCliCoint:
